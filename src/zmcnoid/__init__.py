@@ -24,7 +24,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .weierstrass import JorgeMeeksData, LorentzVec3, lorentz_inner
-from .extension import CausalType, DomainPoint, P_INFINITY
+from .extension import CausalType
 
 __all__ = [
     "__version__",
@@ -32,6 +32,4 @@ __all__ = [
     "LorentzVec3",
     "lorentz_inner",
     "CausalType",
-    "DomainPoint",
-    "P_INFINITY",
 ]

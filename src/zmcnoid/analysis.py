@@ -6,9 +6,10 @@ function, level-curve assembly, monotonicity and sector certificates,
 polyline embeddedness scans, boundary-approach divergence probes, and a
 finite-difference zero-mean-curvature residual.
 
-Everything here consumes the factored-denominator evaluator from
-``extension`` and the Chebyshev kernels from ``chebyshev``; reports are
-plain frozen dataclasses with ``as_dict`` for serialization.
+Everything here consumes the domain check and the surface evaluator from
+``extension`` and the Chebyshev kernels and factored denominator from
+``chebyshev``; reports are plain frozen dataclasses with ``as_dict`` for
+serialization.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import eval_T, eval_U, invert_T
+from .chebyshev import eval_T, eval_U, factor_product, invert_T, psi
 from .extension import (
-    OutOfDomainError,
+    domain_factors,
     eval_extended_grid,
     omega_lower_bound,
-    psi,
     reflection_matrix,
     rotation_matrix,
     x2_log_gap,
@@ -33,7 +33,7 @@ from .geometry import (
     polyline_pair_min_distance,
     polyline_self_intersections,
 )
-from .weierstrass import LorentzVec3, lorentz_cross
+from .weierstrass import lorentz_cross, lorentz_inner
 
 DESCENT_THRESHOLD = -1e3
 # properness probes walk the log of the boundary gap down to a floor; at the
@@ -53,63 +53,51 @@ class FoldProximityError(ValueError):
     """Induced metric too close to degenerate for curvature differencing."""
 
 
-def _domain_arrays(n: int, u, theta):
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    ua = np.asarray(u, dtype=float)
-    ta = np.asarray(theta, dtype=float)
-    scalar = ua.ndim == 0 and ta.ndim == 0
-    ua, ta = np.broadcast_arrays(ua, ta)
-    if np.any(ua <= omega_lower_bound(n, ta)):
-        raise OutOfDomainError("u <= max_j cos(theta - 2 pi j/n) at some point")
-    return ua, ta, scalar
-
-
 # ---------------------------------------------------------------------------
 # closed-form derivatives
 # ---------------------------------------------------------------------------
 
 def x0_u(n: int, u, theta):
     """du-derivative of the height coordinate: -U_{n-1} sin(n theta) / Psi^2."""
-    ua, ta, scalar = _domain_arrays(n, u, theta)
-    out = -eval_U(n - 1, ua) * np.sin(n * ta) / psi(n, ua, ta) ** 2
-    return float(out) if scalar else out
+    ua, ta, factors = domain_factors(n, u, theta)
+    out = -eval_U(n - 1, ua) * np.sin(n * ta) / factor_product(factors) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def x1_u(n: int, u, theta):
-    ua, ta, scalar = _domain_arrays(n, u, theta)
+    ua, ta, factors = domain_factors(n, u, theta)
     num = (
         np.sin((2 * n - 1) * ta)
         + 2.0 * eval_U(n - 2, ua) * np.sin((n - 1) * ta)
         + eval_U(2 * n - 2, ua) * np.sin(ta)
     )
-    out = num / (2.0 * psi(n, ua, ta) ** 2)
-    return float(out) if scalar else out
+    out = num / (2.0 * factor_product(factors) ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def x2_u(n: int, u, theta):
-    ua, ta, scalar = _domain_arrays(n, u, theta)
+    ua, ta, factors = domain_factors(n, u, theta)
     num = (
         -np.cos((2 * n - 1) * ta)
         - 2.0 * eval_U(n - 2, ua) * np.cos((n - 1) * ta)
         + eval_U(2 * n - 2, ua) * np.cos(ta)
     )
-    out = num / (2.0 * psi(n, ua, ta) ** 2)
-    return float(out) if scalar else out
+    out = num / (2.0 * factor_product(factors) ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def jacobian01(n: int, u, theta):
     """det d(x0, x1)/d(u, theta) = U_{n-2} sin((n-1) theta) / Psi^2."""
-    ua, ta, scalar = _domain_arrays(n, u, theta)
-    out = eval_U(n - 2, ua) * np.sin((n - 1) * ta) / psi(n, ua, ta) ** 2
-    return float(out) if scalar else out
+    ua, ta, factors = domain_factors(n, u, theta)
+    out = eval_U(n - 2, ua) * np.sin((n - 1) * ta) / factor_product(factors) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def jacobian02(n: int, u, theta):
     """det d(x0, x2)/d(u, theta) = -U_{n-2} cos((n-1) theta) / Psi^2."""
-    ua, ta, scalar = _domain_arrays(n, u, theta)
-    out = -eval_U(n - 2, ua) * np.cos((n - 1) * ta) / psi(n, ua, ta) ** 2
-    return float(out) if scalar else out
+    ua, ta, factors = domain_factors(n, u, theta)
+    out = -eval_U(n - 2, ua) * np.cos((n - 1) * ta) / factor_product(factors) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +185,6 @@ def contour_u(n: int, h: float, theta):
     return float(out) if scalar and np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class ContourFunction:
-    """Callable wrapper fixing (n, h) for the contour solver."""
-
-    n: int
-    h: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.h <= 0.0:
-            raise ValueError("ContourFunction is defined for h > 0")
-
-    def __call__(self, theta):
-        return contour_u(self.n, self.h, theta)
-
-
 def _fundamental_arc_thetas(n: int, m: int, tip_frac: float = 0.0):
     # cosine clustering: the contour has infinite slope at both endpoints.
     # tip_frac > 0 floors the grid away from theta = 0, where strict
@@ -241,13 +212,6 @@ class LevelCurve:
     is_ray: bool
     params: np.ndarray
     points: np.ndarray
-
-    @property
-    def samples(self):
-        return [
-            (float(p), LorentzVec3(float(q[0]), float(q[1]), float(q[2])))
-            for p, q in zip(self.params, self.points)
-        ]
 
 
 def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
@@ -779,7 +743,7 @@ def mean_curvature_residual(n: int, u, theta, step: float = 1e-3):
     without dividing by a vanishing norm.  Points where |EG - F^2| <= 1e-6
     are rejected as fold-proximate.
     """
-    ua, ta, scalar = _domain_arrays(n, u, theta)
+    ua, ta, _ = domain_factors(n, u, theta)
     s = float(step)
     stencil = {}
     for i in (-1, 0, 1):
@@ -792,20 +756,18 @@ def mean_curvature_residual(n: int, u, theta, step: float = 1e-3):
     fut = (stencil[1, 1] - stencil[1, -1] - stencil[-1, 1] + stencil[-1, -1]) / (
         4.0 * s ** 2
     )
-
-    def inner(a, b):
-        return -a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-    E, F, G = inner(fu, fu), inner(fu, ft), inner(ft, ft)
+    E, F, G = lorentz_inner(fu, fu), lorentz_inner(fu, ft), lorentz_inner(ft, ft)
     det = E * G - F * F
     if np.any(np.abs(det) <= 1e-6):
         raise FoldProximityError(
             "induced metric within 1e-6 of degenerate; move off the fold"
         )
     normal = lorentz_cross(fu, ft)
-    e2, f2, g2 = inner(normal, fuu), inner(normal, fut), inner(normal, ftt)
+    e2 = lorentz_inner(normal, fuu)
+    f2 = lorentz_inner(normal, fut)
+    g2 = lorentz_inner(normal, ftt)
     out = np.abs(E * g2 - 2.0 * F * f2 + G * e2) / (np.abs(det) + 1.0)
-    return float(out) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def zmc_verification_grid(n: int, nu: int = 40, ntheta: int = 120, u_max: float = 2.5):

@@ -16,6 +16,10 @@ residual functions so they can be certified on grids:
 
     T_n(u) - cos(n t) = 2^(n-1) prod_j (u - cos(t - 2 pi j / n))
     U_{2m}(x) - 1 = 2 T_{m+1}(x) U_{m-1}(x)
+
+The first is also the one evaluator of the surface denominator
+T_n(u) - cos(n t) for every module: ``difference_factors`` stacks the n
+factors, ``factor_product`` multiplies them, and ``psi`` composes the two.
 """
 
 from __future__ import annotations
@@ -129,11 +133,7 @@ def invert_T(n: int, y, tol: float = 1e-12):
     in_band = ya <= 1.0
 
     def residual(u):
-        res = eval_T(n, u) - ya
-        prod = np.full_like(u, 2.0 ** (n - 1))
-        for j in range(n):
-            prod = prod * (u - np.cos(theta_y - 2.0 * math.pi * j / n))
-        return np.where(in_band, prod, res)
+        return np.where(in_band, psi(n, u, theta_y), eval_T(n, u) - ya)
 
     lo = np.full_like(ya, math.cos(math.pi / n))
     hi = np.maximum(1.0, (2.0 * np.maximum(ya, 0.0)) ** (1.0 / n) + 1.0)
@@ -164,6 +164,36 @@ def invert_T(n: int, y, tol: float = 1e-12):
     return float(u[0]) if scalar else u
 
 
+def difference_factors(n: int, u, theta):
+    """The n factors u - cos(theta - 2 pi j/n) of T_n(u) - cos(n theta).
+
+    Stacked on a leading axis, over the broadcast shape of u and theta.
+    """
+    ua = np.asarray(u, dtype=float)
+    ta = np.asarray(theta, dtype=float)
+    shifts = 2.0 * math.pi * np.arange(n) / n
+    return ua - np.cos(ta - shifts.reshape((n,) + (1,) * max(ua.ndim, ta.ndim)))
+
+
+def factor_product(factors):
+    """2^(n-1) prod_j factors[j] over the n stacked ``difference_factors``.
+
+    This is T_n(u) - cos(n theta) in factored form.  Each factor carries full
+    relative precision down to the zero set, so the product does too, unlike
+    the direct difference, whose absolute rounding floor ~1e-16 swamps small
+    values.
+    """
+    out = np.full(factors.shape[1:], 2.0 ** (len(factors) - 1))
+    for f in factors:
+        out = out * f
+    return out
+
+
+def psi(n: int, u, theta):
+    """Denominator T_n(u) - cos(n theta), evaluated in factored form."""
+    return factor_product(difference_factors(n, u, theta))
+
+
 def psi_factorization_residual(n: int, u, theta):
     """Residual of T_n(u) - cos(n t) = 2^(n-1) prod_j (u - cos(t - 2 pi j/n)).
 
@@ -172,13 +202,8 @@ def psi_factorization_residual(n: int, u, theta):
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    ua = np.asarray(u, dtype=float)
-    ta = np.asarray(theta, dtype=float)
-    lhs = eval_T(n, ua) - np.cos(n * ta)
-    rhs = np.full(np.broadcast(ua, ta).shape, 2.0 ** (n - 1))
-    for j in range(n):
-        rhs = rhs * (ua - np.cos(ta - 2.0 * math.pi * j / n))
-    out = np.abs(lhs - rhs)
+    lhs = eval_T(n, u) - np.cos(n * np.asarray(theta, dtype=float))
+    out = np.abs(lhs - psi(n, u, theta))
     return float(out) if out.ndim == 0 else out
 
 

@@ -93,22 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mesh(args, parser) -> int:
-    if args.n < 2:
-        parser.error(f"--n must be >= 2, got {args.n}")
-    nu, ntheta = args.grid
-    if nu < 8 or ntheta < 8:
-        parser.error(f"--grid dimensions must be >= 8, got {nu}x{ntheta}")
-    if args.eps <= 0.0:
-        parser.error(f"--eps must be positive, got {args.eps}")
-    if args.u_max <= 1.0 + args.eps:
-        parser.error(f"--u-max must exceed 1 + eps, got {args.u_max}")
     fmt = args.format
     if fmt is None:
         suffix = args.out.rsplit(".", 1)[-1].lower() if "." in args.out else ""
         if suffix not in ("obj", "ply"):
             parser.error("--format required when --out has no .obj/.ply suffix")
         fmt = suffix
-    mesh = tessellate(args.n, u_max=args.u_max, eps=args.eps, grid=(nu, ntheta))
+    try:
+        mesh = tessellate(args.n, u_max=args.u_max, eps=args.eps, grid=args.grid)
+    except ValueError as exc:
+        parser.error(f"mesh: {exc}")
     if fmt == "obj":
         export_obj(mesh, args.out)
     else:

@@ -3,10 +3,10 @@
 Substituting u = (r + 1/r)/2 folds the unit circle |z| = 1 onto u = 1 and
 extends the surface past it.  The domain is
 
-    Omega_n = { (u, theta) : u > max_j cos(theta - 2 pi j / n) }  union  {p_inf}
+    Omega_n = { (u, theta) : u > max_j cos(theta - 2 pi j / n) }
 
-where p_inf is a single point at infinity mapped to the origin.  On Omega_n
-the extended surface is
+and the surface tends to the origin as u -> inf.  On Omega_n the extended
+surface is
 
     x0 = sin(n theta) / (n (T_n(u) - cos(n theta)))
     x1 = -(T_{n-1}(u) sin(theta) + u sin((n-1) theta)) / (n (T_n(u) - cos(n theta)))
@@ -26,13 +26,14 @@ The isometry group is dihedral of order 2n, generated by the rotation R by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .chebyshev import eval_T
-from .weierstrass import LorentzVec3
+# the factors u - cos(theta - 2 pi j/n) of the denominator are also the
+# arguments of the log terms of x1 and x2, hence the local name
+from .chebyshev import difference_factors as log_factors, eval_T, factor_product
+from .weierstrass import lorentz_inner
 
 LOG_FACTOR_GUARD = 1e-14
 DEFAULT_FD_SCALE = 1e-5
@@ -55,35 +56,6 @@ class CausalType(IntEnum):
     TIMELIKE = 2
 
 
-@dataclass(frozen=True)
-class DomainPoint:
-    """Point of Omega_n: either finite (u, theta) or the point at infinity.
-
-    theta is normalized into [0, 2 pi).  The infinity point compares equal
-    only to itself and carries no coordinates.
-    """
-
-    u: float | None = None
-    theta: float | None = None
-    at_infinity: bool = False
-
-    @staticmethod
-    def finite(u: float, theta: float) -> "DomainPoint":
-        th = float(theta) % (2.0 * math.pi)
-        return DomainPoint(u=float(u), theta=th, at_infinity=False)
-
-    def __post_init__(self):
-        if self.at_infinity:
-            if self.u is not None or self.theta is not None:
-                raise ValueError("the infinity point carries no coordinates")
-        else:
-            if self.u is None or self.theta is None:
-                raise ValueError("finite points need both u and theta")
-
-
-P_INFINITY = DomainPoint(at_infinity=True)
-
-
 def omega_lower_bound(n: int, theta):
     """max_j cos(theta - 2 pi j / n): the lower edge of Omega_n over theta."""
     ta = np.asarray(theta, dtype=float)
@@ -91,34 +63,22 @@ def omega_lower_bound(n: int, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def in_omega(n: int, p: DomainPoint) -> bool:
-    """Membership in Omega_n (strict at the lower edge; p_inf belongs)."""
+def domain_factors(n: int, u, theta):
+    """Broadcast (u, theta) and return (u, theta, log factors).
+
+    The log factors are the n values u - cos(theta - 2 pi j/n) stacked on a
+    leading axis.  Raises OutOfDomainError unless every point lies in
+    Omega_n, that is unless every factor is positive.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if p.at_infinity:
-        return True
-    return p.u > omega_lower_bound(n, p.theta)
-
-
-def log_factors(n: int, u, theta):
-    """The n factors u - cos(theta - 2 pi j/n), stacked on a leading axis."""
-    ua = np.asarray(u, dtype=float)
-    ta = np.asarray(theta, dtype=float)
-    return np.stack([ua - np.cos(ta - 2.0 * math.pi * j / n) for j in range(n)])
-
-
-def psi(n: int, u, theta):
-    """Denominator T_n(u) - cos(n theta) in factored form.
-
-    The product 2^(n-1) prod_j (u - cos(theta - 2 pi j/n)) carries full
-    relative precision down to the domain boundary, unlike the direct
-    difference, whose absolute rounding floor ~1e-16 swamps small values.
-    """
-    f = log_factors(n, u, theta)
-    out = np.full(f.shape[1:] if f.ndim > 1 else (), 2.0 ** (n - 1))
-    for j in range(n):
-        out = out * f[j]
-    return out
+    ua, ta = np.broadcast_arrays(
+        np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
+    )
+    factors = log_factors(n, ua, ta)
+    if np.any(factors <= 0.0):
+        raise OutOfDomainError("u <= max_j cos(theta - 2 pi j/n) at some point")
+    return ua, ta, factors
 
 
 def x2_log_gap(n: int, log_gap, theta):
@@ -174,22 +134,12 @@ def eval_extended_grid(n: int, u, theta):
     (t, x, y) order.  Raises OutOfDomainError / BoundaryProximityError if any
     point violates the domain or the log-factor guard.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    ua, ta = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
-    )
-    factors = log_factors(n, ua, ta)
-    if np.any(factors <= 0.0):
-        raise OutOfDomainError("u <= max_j cos(theta - 2 pi j/n) at some point")
+    ua, ta, factors = domain_factors(n, u, theta)
     if np.any(factors <= LOG_FACTOR_GUARD):
         raise BoundaryProximityError(
             f"a factor u - cos(theta - 2 pi j/n) is below {LOG_FACTOR_GUARD:g}"
         )
-    den = np.full(ua.shape, 2.0 ** (n - 1))
-    for j in range(n):
-        den = den * factors[j]
-    D = n * den
+    D = n * factor_product(factors)
     c = (n - 1) / n ** 2
     tn1 = eval_T(n - 1, ua)
 
@@ -204,20 +154,12 @@ def eval_extended_grid(n: int, u, theta):
     return np.stack([x0, x1, x2], axis=-1)
 
 
-def eval_extended(n: int, p: DomainPoint) -> LorentzVec3:
-    """Extended surface at a single domain point; p_inf maps to the origin."""
-    if p.at_infinity:
-        return LorentzVec3(0.0, 0.0, 0.0)
-    out = eval_extended_grid(n, p.u, p.theta)
-    return LorentzVec3(float(out[0]), float(out[1]), float(out[2]))
-
-
 # ---------------------------------------------------------------------------
 # causal type
 # ---------------------------------------------------------------------------
 
-def first_fundamental_grid(n: int, u, theta, fd_step=None):
-    """Central-difference first fundamental form (E, F, G) on arrays.
+def first_partials_grid(n: int, u, theta, fd_step=None):
+    """Central-difference partials (f_u, f_theta) on arrays, shape (..., 3) each.
 
     The step defaults to DEFAULT_FD_SCALE * max(1, |u|) per point.  Stencil
     points must stay inside Omega_n.
@@ -232,17 +174,21 @@ def first_fundamental_grid(n: int, u, theta, fd_step=None):
     )
     fu = (eval_extended_grid(n, ua + s, ta) - eval_extended_grid(n, ua - s, ta)) / (2.0 * s)[..., None]
     ft = (eval_extended_grid(n, ua, ta + s) - eval_extended_grid(n, ua, ta - s)) / (2.0 * s)[..., None]
+    return fu, ft
 
-    def inner(a, b):
-        return -a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
-    return inner(fu, fu), inner(fu, ft), inner(ft, ft)
+def first_fundamental_grid(n: int, u, theta, fd_step=None):
+    """Central-difference first fundamental form (E, F, G) on arrays."""
+    fu, ft = first_partials_grid(n, u, theta, fd_step)
+    return lorentz_inner(fu, fu), lorentz_inner(fu, ft), lorentz_inner(ft, ft)
 
 
 def causal_type_grid(n: int, u, theta, fd_step=None):
-    """Vectorized causal classification; returns an array of CausalType codes.
+    """Causal classification from the metric; returns CausalType codes.
 
-    The determinant EG - F^2 of the induced metric is compared against the
+    This is the oracle that the tests hold the mesh tags against: the mesh
+    path tags by the sign of u - 1 in closed form.  The determinant
+    EG - F^2 of the finite-difference induced metric is compared against the
     scale-aware threshold tau = 1e-6 (E^2 + G^2 + 1): positive means
     spacelike, negative timelike, and |det| <= tau lightlike (the fold).
     """
@@ -255,34 +201,9 @@ def causal_type_grid(n: int, u, theta, fd_step=None):
     return out
 
 
-def causal_type(n: int, p: DomainPoint, fd_step: float | None = None) -> CausalType:
-    """Causal type of the surface at a finite domain point."""
-    if p.at_infinity:
-        raise ValueError("causal type is defined at finite points only")
-    s = fd_step if fd_step is not None else DEFAULT_FD_SCALE * max(1.0, abs(p.u))
-    for dth in (-s, 0.0, s):
-        if p.u - omega_lower_bound(n, p.theta + dth) < 2.0 * s:
-            raise OutOfDomainError(
-                f"point ({p.u}, {p.theta}) lacks the 2*fd_step margin to the boundary"
-            )
-    code = causal_type_grid(n, p.u, p.theta, fd_step=s)
-    return CausalType(int(code))
-
-
 # ---------------------------------------------------------------------------
 # isometry group
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class IsometryG:
-    """Group element: reduced word in the generators and its matrix."""
-
-    word: str
-    matrix: np.ndarray = field(repr=False)
-
-    def __call__(self, v):
-        return self.matrix @ np.asarray(v, dtype=float)
-
 
 def rotation_matrix(n: int) -> np.ndarray:
     """Rotation R by 2 pi / n about the t-axis (display-plane rotation)."""
@@ -299,8 +220,8 @@ def _form_drift(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.T @ LORENTZ_FORM @ m - LORENTZ_FORM)))
 
 
-def group_elements(n: int) -> list[IsometryG]:
-    """The 2n elements {R^k, S R^k} as reduced words with matrices.
+def group_elements(n: int) -> list[np.ndarray]:
+    """The 2n matrices R^k and S R^k, k = 0..n-1, in that interleaved order.
 
     Every matrix is checked to preserve the Lorentz form to 1e-13.
     """
@@ -311,35 +232,13 @@ def group_elements(n: int) -> list[IsometryG]:
     elements = []
     rk = np.eye(3)
     for k in range(n):
-        word = "I" if k == 0 else ("R" if k == 1 else f"R^{k}")
-        elements.append(IsometryG(word, rk.copy()))
-        sword = "S" if k == 0 else f"S {word}"
-        elements.append(IsometryG(sword, S @ rk))
+        elements.extend((rk, S @ rk))
         rk = R @ rk
-    for el in elements:
-        drift = _form_drift(el.matrix)
+    for i, m in enumerate(elements):
+        drift = _form_drift(m)
         if drift > 1e-13:
-            raise AssertionError(f"element {el.word} distorts the Lorentz form by {drift:g}")
+            raise AssertionError(f"group element {i} distorts the Lorentz form by {drift:g}")
     return elements
-
-
-def symmetry_residual(n: int, u: float, theta: float) -> float:
-    """Deviation of the two generating symmetry relations at (u, theta).
-
-    Returns the larger Euclidean norm of f(u, -theta) - S f(u, theta) and
-    f(u, theta + 2 pi/n) - R f(u, theta).
-    """
-    base = np.asarray(eval_extended(n, DomainPoint.finite(u, theta)))
-    mirrored = np.asarray(eval_extended(n, DomainPoint.finite(u, -theta)))
-    rotated = np.asarray(eval_extended(n, DomainPoint.finite(u, theta + 2.0 * math.pi / n)))
-    res_s = np.linalg.norm(mirrored - reflection_matrix() @ base)
-    res_r = np.linalg.norm(rotated - rotation_matrix(n) @ base)
-    return float(max(res_s, res_r))
-
-
-def fundamental_domain_contains(n: int, u: float, theta: float) -> bool:
-    """Membership in the fundamental wedge u > cos theta, 0 <= theta <= pi/n."""
-    return 0.0 <= theta <= math.pi / n and u > math.cos(theta)
 
 
 def fold_to_fundamental(n: int, theta: float):

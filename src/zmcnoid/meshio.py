@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import causal_type_grid, eval_extended_grid, omega_lower_bound
+from .extension import CausalType, eval_extended_grid, omega_lower_bound
 
 DEGENERATE_FACE_AREA = 1e-14
 CAUSAL_NAMES = ("spacelike", "lightlike", "timelike")
@@ -101,14 +101,16 @@ def tessellate(
     offset lower envelope, so the mesh hugs the domain boundary uniformly.
     Quads are split toward the shorter display-space diagonal; evaluation is
     chunked over u-rows across a thread pool with index-ordered assembly.
+    Vertices are tagged by the sign of u - 1: the surface is space-like for
+    u > 1, time-like for u < 1 and lightlike on the fold u = 1.
     """
     nu, ntheta = grid
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if eps <= 0.0:
-        raise ValueError(f"boundary offset must be positive, got {eps}")
-    if u_max <= 1.0 + eps:
-        raise ValueError(f"u_max must exceed 1 + eps, got {u_max}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"boundary offset must be positive and finite, got {eps}")
+    if not (math.isfinite(u_max) and u_max > 1.0 + eps):
+        raise ValueError(f"u_max must be finite and exceed 1 + eps, got {u_max}")
     if nu < 8 or ntheta < 8:
         raise ValueError(f"grid must be at least 8x8, got {nu}x{ntheta}")
 
@@ -118,14 +120,17 @@ def tessellate(
     uu = lo[None, :] + (u_max - lo[None, :]) * frac
     tt = np.broadcast_to(thetas[None, :], (nu, ntheta))
 
+    causal = np.select(
+        [uu > 1.0, uu < 1.0],
+        [CausalType.SPACELIKE, CausalType.TIMELIKE],
+        CausalType.LIGHTLIKE,
+    ).astype(np.uint8)
     native = np.empty((nu, ntheta, 3))
-    causal = np.empty((nu, ntheta), dtype=np.uint8)
     workers = min(thread_cap(), nu)
 
     def fill(rows):
         a, b = rows
         native[a:b] = eval_extended_grid(n, uu[a:b], tt[a:b])
-        causal[a:b] = causal_type_grid(n, uu[a:b], tt[a:b])
 
     chunk = max(1, -(-nu // (4 * workers)))
     spans = [(a, min(a + chunk, nu)) for a in range(0, nu, chunk)]

@@ -27,13 +27,13 @@ from .analysis import (
     x2_u,
     zmc_verification_grid,
 )
-from .chebyshev import eval_T, eval_U, invert_T
+from .chebyshev import eval_T, eval_U, invert_T, psi
 from .extension import (
     eval_extended_grid,
+    first_partials_grid,
     fold_to_fundamental,
     group_elements,
     omega_lower_bound,
-    psi,
     reflection_matrix,
     rotation_matrix,
 )
@@ -46,6 +46,7 @@ from .weierstrass import (
     lift_closed_form,
     lorentz_inner,
     period_residual,
+    _segment_puncture_distance,
 )
 
 PRNG_NAME = "numpy-pcg64"
@@ -104,15 +105,6 @@ def _sample_z(rng, n, count, clearance=1e-2):
         out[have:have + take.size] = take
         have += take.size
     return out
-
-
-def _segment_clearance(z, punctures):
-    # distance from the straight segment [0, z] to the nearest puncture
-    best = math.inf
-    for p in punctures:
-        s = min(1.0, max(0.0, (p * z.conjugate()).real / abs(z) ** 2))
-        best = min(best, abs(p - s * z))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +194,11 @@ def _check_lift_agreement(rng, ns, tols):
             for z in _sample_z(rng, n, 100):
                 if have >= 100:
                     break
-                if _segment_clearance(complex(z), punctures) <= 0.06:
+                # the quadrature oracle integrates along the segment [0, z]
+                clearance = min(
+                    _segment_puncture_distance(0j, complex(z), p) for p in punctures
+                )
+                if clearance <= 0.06:
                     continue
                 closed = lift_closed_form(data, z)
                 numeric = integrate_lift_numeric(data, z)
@@ -321,11 +317,10 @@ def _check_group_lorentz_invariance(rng, ns, tols):
     for n in _restrict(SURFACE_NS, ns):
         v = rng.normal(size=(100, 3))
         w = rng.normal(size=(100, 3))
-        base = np.array([lorentz_inner(a, b) for a, b in zip(v, w)])
+        base = lorentz_inner(v, w)
         worst = 0.0
         for g in group_elements(n):
-            gv, gw = v @ g.matrix.T, w @ g.matrix.T
-            moved = np.array([lorentz_inner(a, b) for a, b in zip(gv, gw)])
+            moved = lorentz_inner(v @ g.T, w @ g.T)
             worst = max(worst, float(np.max(np.abs(moved - base))))
         records.append(
             _record("extension.group_lorentz_invariance", n,
@@ -356,15 +351,6 @@ def _check_graph_identity_n2(rng, ns, tols):
 # analysis checks
 # ---------------------------------------------------------------------------
 
-def _fd_partials(n, u, theta, step):
-    half = (2.0 * np.asarray(step))[..., None]
-    up = eval_extended_grid(n, u + step, theta)
-    um = eval_extended_grid(n, u - step, theta)
-    tp = eval_extended_grid(n, u, theta + step)
-    tm = eval_extended_grid(n, u, theta - step)
-    return (up - um) / half, (tp - tm) / half
-
-
 def _check_derivative_agreement(rng, ns, tols):
     records = []
     for n in _restrict(SURFACE_NS, ns):
@@ -372,7 +358,7 @@ def _check_derivative_agreement(rng, ns, tols):
         gap = u - omega_lower_bound(n, theta)
         # truncation scales like (2n step/gap)^2, so tie the step to the gap
         step = 2e-6 * gap
-        du, dth = _fd_partials(n, u, theta, step)
+        du, dth = first_partials_grid(n, u, theta, step)
         worst = 0.0
         for col, formula in ((0, x0_u), (1, x1_u), (2, x2_u)):
             closed = formula(n, u, theta)
@@ -467,9 +453,7 @@ def _check_zero_mean_curvature(rng, ns, tols):
     records = []
     for n in _restrict(ZMC_NS, ns):
         uu, tt = zmc_verification_grid(n, nu=10, ntheta=30)
-        worst = max(
-            mean_curvature_residual(n, float(u), float(t)) for u, t in zip(uu, tt)
-        )
+        worst = np.max(mean_curvature_residual(n, uu, tt))
         records.append(
             _record("analysis.zero_mean_curvature", n,
                     {"grid_points": int(uu.size)}, worst, 1e-4, tols=tols)

@@ -49,9 +49,14 @@ class LorentzVec3(NamedTuple):
     y: float
 
 
-def lorentz_inner(v, w) -> float:
-    """Inner product of signature (-, +, +) in the (t, x, y) ordering."""
-    return float(-v[0] * w[0] + v[1] * w[1] + v[2] * w[2])
+def lorentz_inner(v, w):
+    """Inner product of signature (-, +, +) in the (t, x, y) ordering.
+
+    Contracts the last axis, so stacks of vectors give an array of products.
+    """
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    return -v[..., 0] * w[..., 0] + v[..., 1] * w[..., 1] + v[..., 2] * w[..., 2]
 
 
 def lorentz_cross(v, w):

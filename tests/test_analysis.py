@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zmcnoid import analysis as an
 from zmcnoid import extension as ext
-from zmcnoid.chebyshev import eval_T, eval_U
+from zmcnoid.chebyshev import eval_T, eval_U, psi
 
 
 def central_diff(f, x, step):
@@ -53,7 +53,7 @@ def test_x1_x2_u_match_finite_difference():
 
 def test_partials_finite_in_timelike_region():
     u, theta = 0.98, math.pi / 5 - 0.05
-    assert ext.in_omega(5, ext.DomainPoint.finite(u, theta))
+    assert u > ext.omega_lower_bound(5, theta)
     for func in (an.x0_u, an.x1_u, an.x2_u):
         assert math.isfinite(func(5, u, theta))
 
@@ -82,7 +82,7 @@ def test_partials_reject_out_of_domain():
 
 def test_jacobians_spot_values():
     assert an.jacobian01(3, 1.2, 0.0) == 0.0
-    want = -eval_U(1, 1.2) / ext.psi(3, 1.2, 0.0) ** 2
+    want = -eval_U(1, 1.2) / psi(3, 1.2, 0.0) ** 2
     got = an.jacobian02(3, 1.2, 0.0)
     assert got < 0.0
     assert abs(got - want) < 1e-14
@@ -115,7 +115,7 @@ def test_jacobian_sum_identity():
     for n in (2, 3, 5, 8):
         u, theta = sample_wedge(rng, n, 300)
         lhs = an.jacobian01(n, u, theta) ** 2 + an.jacobian02(n, u, theta) ** 2
-        rhs = eval_U(n - 2, u) ** 2 / ext.psi(n, u, theta) ** 4
+        rhs = eval_U(n - 2, u) ** 2 / psi(n, u, theta) ** 4
         assert np.min(lhs) > 0.0
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-10
 
@@ -174,9 +174,8 @@ def test_contour_monotone_decreasing_in_h():
 
 
 def test_contour_stays_above_cos_theta():
-    f = an.ContourFunction(5, 0.3)
     thetas = np.linspace(1e-4, 1.0 - 1e-4, 500) * (math.pi / 5)
-    assert np.all(f(thetas) > np.cos(thetas))
+    assert np.all(an.contour_u(5, 0.3, thetas) > np.cos(thetas))
 
 
 def test_contour_validation():
@@ -185,7 +184,7 @@ def test_contour_validation():
     with pytest.raises(ValueError):
         an.contour_u(3, 1.0, math.pi / 3 + 0.01)
     with pytest.raises(ValueError):
-        an.ContourFunction(3, 0.0)
+        an.contour_u(3, 0.0, 0.3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,13 +263,13 @@ def test_level_curve_tip_approaches_minus_h():
 
 
 def test_level_curve_samples_property():
+    # sample i pairs the parameter params[i] with the (t, x, y) row points[i]
     c = an.level_curve(3, 0.2, 16)[0]
-    pairs = c.samples
-    assert len(pairs) == 16
-    param, vec = pairs[0]
-    assert isinstance(vec, an.LorentzVec3)
-    assert abs(vec[0] - 0.2) < 1e-10
-    assert param == c.params[0]
+    assert c.params.shape == (16,)
+    assert c.points.shape == (16, 3)
+    assert np.max(np.abs(c.points[:, 0] - 0.2)) < 1e-10
+    u = an.contour_u(3, 0.2, c.params[0])
+    assert np.max(np.abs(c.points[0] - ext.eval_extended_grid(3, u, c.params[0]))) < 1e-12
 
 
 def test_level_curve_validation():

@@ -77,6 +77,20 @@ def test_mesh_usage_errors(tmp_path):
         ["mesh", "--n", "3", "--out", str(tmp_path / "noext")]) == 2
 
 
+def test_mesh_rejects_non_finite_and_oversized_input(tmp_path, capsys):
+    out = tmp_path / "x.ply"
+    for argv in (
+        ["mesh", "--n", "3", "--eps", "nan", "--out", str(out)],
+        ["mesh", "--n", "3", "--u-max", "inf", "--out", str(out)],
+        ["mesh", "--n", "200", "--grid", "8x8", "--out", str(out)],
+    ):
+        assert run_expect_usage_error(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.rstrip("\n").splitlines()[-1].startswith("zmcnoid: error: mesh: ")
+        assert not out.exists()
+
+
 def test_mesh_io_error(tmp_path):
     out = str(tmp_path / "missing" / "deep" / "x.obj")
     assert run_cli(["mesh", "--n", "3", "--grid", "12x16", "--out", out]) == 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zmcnoid import meshio as mio
-from zmcnoid.extension import omega_lower_bound
+from zmcnoid.extension import causal_type_grid, omega_lower_bound
 
 
 @pytest.fixture
@@ -72,6 +72,15 @@ def test_tessellate_causal_banding(small_mesh):
     assert space.sum() > 0 and timel.sum() > 0
     assert np.all(small_mesh.causal[space] == 0)
     assert np.all(small_mesh.causal[timel] == 2)
+
+
+def test_tessellate_tags_match_metric_oracle():
+    # the closed-form tags (sign of u - 1) agree with the finite-difference
+    # classification of the induced metric at every vertex
+    for n in (2, 3, 6, 17):
+        mesh = mio.tessellate(n, u_max=4.0, eps=0.02, grid=(32, 96))
+        u, theta = mesh.domain[:, 0], mesh.domain[:, 1]
+        assert np.array_equal(mesh.causal, causal_type_grid(n, u, theta)), n
 
 
 def test_tessellate_rotation_symmetry():
