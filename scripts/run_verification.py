@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from zmcnoid.meshio import emit_report
-from zmcnoid.verify import run_checks
+from zmcnoid.verify import emit_report, run_checks
 
 
 def main() -> int:

@@ -8,14 +8,14 @@ properness), and exports meshes plus machine-readable verification reports.
 
 Module map:
 
-- ``chebyshev``    recurrence evaluation and monotone-branch inversion
+- ``chebyshev``    recurrence evaluation and closed-form monotone inverse
 - ``quadrature``   adaptive Gauss-Kronrod contour integration
 - ``weierstrass``  holomorphic data, closed-form lift, polar surface
 - ``extension``    extended surface on the (u, theta) domain, isometry group
 - ``analysis``     derivatives, level curves, embeddedness and properness
 - ``geometry``     planar polyline intersection predicates
-- ``meshio``       tessellation and OBJ/PLY/CSV/JSON export
-- ``verify``       enumerable registry of invariant checks
+- ``meshio``       tessellation and OBJ/PLY/CSV export
+- ``verify``       enumerable registry of invariant checks, JSON reports
 - ``cli``          mesh / verify / levels / report subcommands
 """
 

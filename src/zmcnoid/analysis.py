@@ -177,12 +177,11 @@ def contour_u(n: int, h: float, theta):
     if h <= 0.0:
         raise ValueError("contour_u needs h > 0; use mirror symmetry for h < 0")
     ta = np.asarray(theta, dtype=float)
-    scalar = ta.ndim == 0
     if np.any((ta <= 0.0) | (ta >= math.pi / n)):
         raise ValueError("theta must lie strictly inside (0, pi/n)")
-    arg = np.cos(n * ta) + np.sin(n * ta) / (n * h)
-    out = invert_T(n, arg)
-    return float(out) if scalar and np.ndim(out) == 0 else out
+    if not math.isfinite(1.0 / (n * h)):
+        raise ValueError(f"height {h!r} is too small: 1/(nh) overflows")
+    return invert_T(n, np.cos(n * ta) + np.sin(n * ta) / (n * h))
 
 
 def _fundamental_arc_thetas(n: int, m: int, tip_frac: float = 0.0):
@@ -226,6 +225,8 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
         raise ValueError("need at least 16 samples per curve")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if not math.isfinite(h):
+        raise ValueError(f"height must be finite, got {h}")
     if h > 0.0:
         thetas = _fundamental_arc_thetas(n, samples)
         u = contour_u(n, h, thetas)

@@ -7,12 +7,13 @@ All evaluation goes through the three-term recurrence
 
 which stays valid for arguments outside [-1, 1], where most of the surface
 geometry lives.  The trigonometric closed forms cos(n arccos x) and
-sin((n+1) arccos x)/sin(arccos x) are used only as oracles in the test suite.
+sin((n+1) arccos x)/sin(arccos x) serve as oracles in the test suite.
 
 On the monotone branch [cos(pi/n), inf) the map T_n is a bijection onto
-[-1, inf); ``invert_T`` computes its inverse by bracketed bisection refined
-with Newton steps.  Two classical identities used downstream are exposed as
-residual functions so they can be certified on grids:
+[-1, inf); ``invert_T`` computes its inverse in closed form, as
+cos(arccos(y)/n) or cosh(arccosh(y)/n), with one Newton step on the
+recurrence above y = 1.  Two classical identities used downstream are
+exposed as residual functions so they can be certified on grids:
 
     T_n(u) - cos(n t) = 2^(n-1) prod_j (u - cos(t - 2 pi j / n))
     U_{2m}(x) - 1 = 2 T_{m+1}(x) U_{m-1}(x)
@@ -98,20 +99,21 @@ def eval_T_derivative(n: int, x):
     return n * u
 
 
-def invert_T(n: int, y, tol: float = 1e-12):
+def invert_T(n: int, y):
     """Inverse of T_n on the monotone branch [cos(pi/n), inf).
 
-    Solves T_n(u) = y for u >= cos(pi/n) to absolute tolerance ``tol`` in u.
-    The initial bracket [cos(pi/n), max(1, (2y)^(1/n) + 1)] is expanded by
-    doubling until it contains the root, narrowed by bisection, and polished
-    with Newton steps guarded to stay inside the bracket.  Newton stalls at
-    the flat point u = cos(pi/n) (where T_n' vanishes), which the bisection
-    phase already resolves.
+    Solves T_n(u) = y for u >= cos(pi/n) in closed form:
+
+        u = cos(arccos(y) / n)      for -1 <= y <= 1
+        u = cosh(arccosh(y) / n)    for y > 1
+
+    Above 1 the rounding of arccosh(y) is exponentiated back, so the cosh form
+    alone drifts by up to a few hundred ulp as y grows toward 1e300; one
+    Newton step on the recurrence brings it back to about 1 ulp.
 
     Args:
         n: surface order, n >= 2.
         y: right-hand side, scalar or ndarray; every entry must be >= -1.
-        tol: absolute tolerance on u.
 
     Returns:
         float for scalar input, ndarray otherwise.
@@ -121,47 +123,11 @@ def invert_T(n: int, y, tol: float = 1e-12):
     ya = np.asarray(y, dtype=float)
     if np.any(ya < -1.0):
         raise ValueError("invert_T: T_n on the monotone branch never goes below -1")
-    scalar = np.isscalar(y) or ya.ndim == 0
-    ya = np.atleast_1d(ya)
-
-    # T_n(u) - y by recurrence is pure rounding noise near the flat point
-    # u = cos(pi/n), which sends bisection on a random walk.  For y in
-    # [-1, 1] write y = cos(n theta_y) and use the factored form of
-    # T_n(u) - cos(n theta_y): every factor keeps full relative precision,
-    # so the sign of the residual stays trustworthy down to ulp distance.
-    theta_y = np.arccos(np.clip(ya, -1.0, 1.0)) / n
-    in_band = ya <= 1.0
-
-    def residual(u):
-        return np.where(in_band, psi(n, u, theta_y), eval_T(n, u) - ya)
-
-    lo = np.full_like(ya, math.cos(math.pi / n))
-    hi = np.maximum(1.0, (2.0 * np.maximum(ya, 0.0)) ** (1.0 / n) + 1.0)
-    too_low = eval_T(n, hi) < ya
-    while np.any(too_low):
-        hi = np.where(too_low, 2.0 * hi, hi)
-        too_low = eval_T(n, hi) < ya
-
-    # Bisection: bracket width shrinks by 2 per step; 100 steps reach the
-    # floating-point floor for any bracket arising from y <= ~1e300.
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = residual(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= tol * 1e-3):
-            break
-
-    u = 0.5 * (lo + hi)
-    for _ in range(4):
-        slope = eval_T_derivative(n, u)
-        safe = slope > 0
-        step = np.where(safe, residual(u) / np.where(safe, slope, 1.0), 0.0)
-        cand = u - step
-        inside = (cand >= lo) & (cand <= hi)
-        u = np.where(inside, cand, u)
-
-    return float(u[0]) if scalar else u
+    in_band = np.cos(np.arccos(np.clip(ya, -1.0, 1.0)) / n)
+    c = np.cosh(np.arccosh(np.maximum(ya, 1.0)) / n)
+    above = c - (eval_T(n, c) - ya) / eval_T_derivative(n, c)
+    u = np.where(ya <= 1.0, in_band, above)
+    return float(u) if np.isscalar(y) or ya.ndim == 0 else u
 
 
 def difference_factors(n: int, u, theta):

@@ -12,16 +12,8 @@ import argparse
 import sys
 
 from .analysis import level_curve
-from .meshio import (
-    SurfaceMesh,
-    emit_report,
-    export_level_curves,
-    export_obj,
-    export_ply,
-    report_json,
-    tessellate,
-)
-from .verify import NON_OVERRIDABLE, registry_ids, run_checks
+from .meshio import export_level_curves, export_obj, export_ply, tessellate
+from .verify import check_arguments, emit_report, report_json, run_checks
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -112,20 +104,13 @@ def _cmd_mesh(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.n is not None and args.n < 2:
-        parser.error(f"--n must be >= 2, got {args.n}")
+    ns = None if args.n is None else [args.n]
     overrides = dict(args.tol)
-    known = set(registry_ids())
-    for name in overrides:
-        if name not in known:
-            parser.error(f"unknown check id {name!r}; see registry_ids()")
-        if name in NON_OVERRIDABLE:
-            parser.error(f"check {name!r} certifies a sign condition; no tolerance")
-    report = run_checks(
-        seed=args.seed,
-        ns=None if args.n is None else [args.n],
-        tol_overrides=overrides,
-    )
+    try:
+        check_arguments(ns=ns, tol_overrides=overrides)
+    except (KeyError, ValueError) as exc:
+        parser.error(f"verify: {exc.args[0]}")
+    report = run_checks(seed=args.seed, ns=ns, tol_overrides=overrides)
     if args.out:
         emit_report(report, args.out)
         summary = report.summary()
@@ -141,13 +126,12 @@ def _cmd_levels(args, parser) -> int:
     if args.u_max <= 1.0:
         parser.error(f"--u-max must exceed 1, got {args.u_max}")
     curves = []
-    seen = set()
-    for h in args.h:
-        if h in seen:
-            continue
-        seen.add(h)
-        curves.extend(level_curve(args.n, h, 512, u_max=args.u_max))
-    export_level_curves(curves, args.out)
+    try:
+        for h in dict.fromkeys(args.h):
+            curves.extend(level_curve(args.n, h, 512, u_max=args.u_max))
+        export_level_curves(curves, args.out)
+    except ValueError as exc:
+        parser.error(f"levels: {exc}")
     print(f"{args.out}: {len(curves)} curves")
     return 0
 

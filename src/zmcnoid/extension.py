@@ -241,18 +241,23 @@ def group_elements(n: int) -> list[np.ndarray]:
     return elements
 
 
-def fold_to_fundamental(n: int, theta: float):
+def fold_to_fundamental(n: int, theta):
     """Fold theta into [0, pi/n] and return (theta', g) with f(u,theta) = g f(u,theta').
 
     Uses theta = 2 pi k / n + delta first (g gains R^k), then a reflection
     when delta > pi/n (g gains R S, from f(u, delta) = R S f(u, 2 pi/n - delta)).
+    Array theta gives theta' of the same shape and g of shape theta.shape +
+    (3, 3); scalar theta gives a float and one 3x3 matrix.
     """
     period = 2.0 * math.pi / n
-    th = float(theta) % (2.0 * math.pi)
-    k = int(math.floor(th / period))
+    th = np.asarray(theta, dtype=float) % (2.0 * math.pi)
+    k = np.floor(th / period)
     delta = th - k * period
     R = rotation_matrix(n)
-    mat = np.linalg.matrix_power(R, k % n)
-    if delta <= math.pi / n:
-        return delta, mat
-    return period - delta, mat @ R @ reflection_matrix()
+    turns = np.stack([np.linalg.matrix_power(R, j) for j in range(n)])
+    flips = np.stack([m @ R @ reflection_matrix() for m in turns])
+    reflect = delta > math.pi / n
+    j = k.astype(int) % n
+    folded = np.where(reflect, period - delta, delta)
+    mats = np.where(reflect[..., None, None], flips[j], turns[j])
+    return (float(folded), mats) if folded.ndim == 0 else (folded, mats)

@@ -1,7 +1,7 @@
 """Mesh tessellation and deterministic artifact serialization.
 
 Builds display meshes of the extended surface over truncated subdomains,
-tags every vertex with its causal type, and writes OBJ / PLY / CSV / JSON
+tags every vertex with its causal type, and writes OBJ / PLY / CSV
 artifacts that are byte-identical across runs for identical inputs.
 
 Display coordinates are ordered (x, y, t) so the rotational axis points up
@@ -11,7 +11,6 @@ in common viewers; the evaluator's native order is (t, x, y).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -274,7 +273,8 @@ def export_level_curves(curves, path: str) -> None:
     """RFC-4180 CSV of curve samples, sorted by (h, copy_index, param).
 
     Columns are (h, copy_index, param, x, y, t); the curve points arrive in
-    native (t, x, y) order and are remapped here.
+    native (t, x, y) order and are remapped here.  Raises ValueError, before
+    the file is opened, if any value is not finite.
     """
     rows = []
     for curve in curves:
@@ -283,105 +283,11 @@ def export_level_curves(curves, path: str) -> None:
                 (float(curve.h), int(curve.copy_index), float(param),
                  float(pt[1]), float(pt[2]), float(pt[0]))
             )
+    if not all(math.isfinite(v) for r in rows for v in (r[0], *r[2:])):
+        raise ValueError("level curve samples must be finite")
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h", "copy_index", "param", "x", "y", "t"])
         for h, k, param, x, y, t in rows:
             writer.writerow([repr(h), k, repr(param), repr(x), repr(y), repr(t)])
-
-
-# ---------------------------------------------------------------------------
-# verification reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verification measurement: a residual against its tolerance."""
-
-    name: str
-    n: int | None
-    parameters: dict
-    measured: float
-    tolerance: float
-    passed: bool
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "n": self.n,
-            "parameters": self.parameters,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Named suite of check records; passes iff every record passes."""
-
-    suite: str = ""
-    prng: str = ""
-    seed: int | None = None
-    checks: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def summary(self) -> dict:
-        good = sum(1 for c in self.checks if c.passed)
-        return {
-            "total": len(self.checks),
-            "passed": good,
-            "failed": len(self.checks) - good,
-        }
-
-    def as_dict(self):
-        # optional context keys are omitted when unset so that a bare empty
-        # suite serializes to exactly {"checks": [], "pass": true}
-        out = {}
-        if self.suite:
-            out["suite"] = self.suite
-        if self.prng:
-            out["prng"] = self.prng
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out["checks"] = [c.as_dict() for c in self.checks]
-        if self.checks:
-            out["summary"] = self.summary()
-        out["pass"] = self.passed
-        return out
-
-
-def _json_fragment(obj) -> str:
-    if isinstance(obj, dict):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in obj.items()
-        )
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_fragment(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number in report: {value}")
-        return format(value, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"unserializable report entry of type {type(obj)!r}")
-
-
-def report_json(report: VerificationReport) -> str:
-    """Canonical JSON text: insertion-ordered keys, 17 significant digits."""
-    return _json_fragment(report.as_dict())
-
-
-def emit_report(report: VerificationReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_json(report))

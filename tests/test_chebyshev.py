@@ -116,6 +116,25 @@ def test_invert_branch_endpoints():
         assert abs(cb.invert_T(n, 1.0) - 1.0) < 1e-12
 
 
+def test_invert_matches_mpmath_oracle():
+    # the round-trip tests above go back through eval_T, the recurrence that
+    # invert_T's Newton step uses; this reference shares no code with it
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    ys = (-1.0, -1.0 + 1e-15, -0.5, 0.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+          2.0, 1e3, 1e100, 1e300)
+    for n in (2, 3, 5, 8, 12, 17, 64):
+        for y in ys:
+            exact = mp.mpf(y)
+            if exact <= 1:
+                ref = mp.cos(mp.acos(exact) / n)
+            else:
+                ref = mp.cosh(mp.acosh(exact) / n)
+            u = cb.invert_T(n, y)
+            scale = max(abs(float(ref)), 1.0)
+            assert abs(mp.mpf(u) - ref) <= 4 * math.ulp(scale), (n, y, u)
+
+
 def test_invert_rejects_out_of_range():
     with pytest.raises(ValueError):
         cb.invert_T(3, -1.0000001)

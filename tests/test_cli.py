@@ -138,6 +138,7 @@ def test_verify_tol_validation():
     assert run_expect_usage_error(["verify", "--tol", "badformat"]) == 2
     assert run_expect_usage_error(["verify", "--tol", "weierstrass.null_form=-1"]) == 2
     assert run_expect_usage_error(["verify", "--n", "0"]) == 2
+    assert run_expect_usage_error(["verify", "--n", "20"]) == 2
 
 
 def test_verify_io_error(tmp_path):
@@ -186,6 +187,18 @@ def test_levels_usage_errors(tmp_path):
     assert run_expect_usage_error(["levels", "--n", "3", "--out", out]) == 2
     assert run_expect_usage_error(
         ["levels", "--n", "3", "--h", "1", "--u-max", "0.5", "--out", out]) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_levels_rejects_heights_without_finite_output(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for h in ("nan", "1e-320", "1e300", "inf"):
+        assert run_expect_usage_error(
+            ["levels", "--n", "3", "--h", h, "--out", str(out)]) == 2, h
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.rstrip("\n").splitlines()[-1].startswith("zmcnoid: error: levels: ")
+        assert not out.exists()
 
 
 def test_levels_io_error(tmp_path):

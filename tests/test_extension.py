@@ -298,6 +298,14 @@ def test_fold_reconstructs_orbit():
             want = ext.eval_extended_grid(n, u, theta)
             got = g @ ext.eval_extended_grid(n, u, th0)
             assert np.max(np.abs(want - got)) < 1e-9
+        # an array folds exactly as its elements do one at a time
+        thetas = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, (8, 8))
+        folded, mats = ext.fold_to_fundamental(n, thetas)
+        assert folded.shape == (8, 8) and mats.shape == (8, 8, 3, 3)
+        for idx in np.ndindex(thetas.shape):
+            th0, g = ext.fold_to_fundamental(n, float(thetas[idx]))
+            assert folded[idx] == th0
+            assert np.array_equal(mats[idx], g)
 
 
 @settings(max_examples=80, deadline=None)

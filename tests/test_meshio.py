@@ -1,4 +1,4 @@
-"""Tessellation, artifact round-trips, and canonical report JSON."""
+"""Tessellation and artifact round-trips."""
 
 import csv
 import math
@@ -214,76 +214,3 @@ def test_level_curve_csv(tmp_path):
     assert float(row[3]) == float(first.points[0, 1])
     assert float(row[4]) == float(first.points[0, 2])
     assert float(row[5]) == float(first.points[0, 0])
-
-
-# ---------------------------------------------------------------------------
-# verification report JSON
-# ---------------------------------------------------------------------------
-
-def make_record(name="demo.check", passed=True, measured=1.5e-12):
-    return mio.CheckRecord(
-        name=name, n=3, parameters={"samples": 10},
-        measured=measured, tolerance=1e-10, passed=passed,
-    )
-
-
-def test_check_record_dict_uses_pass_key():
-    d = make_record().as_dict()
-    assert d["pass"] is True
-    assert d["name"] == "demo.check"
-    assert d["n"] == 3
-
-
-def test_empty_report_canonical_bytes():
-    assert mio.report_json(mio.VerificationReport()) == '{"checks": [], "pass": true}'
-
-
-def test_report_key_order_and_summary():
-    rep = mio.VerificationReport(
-        suite="verify", prng="numpy-pcg64", seed=42,
-        checks=(make_record(), make_record(passed=False)),
-    )
-    text = mio.report_json(rep)
-    assert text.startswith('{"suite": "verify", "prng": "numpy-pcg64", "seed": 42, "checks": [')
-    assert text.endswith('"pass": false}')
-    assert '"summary": {"total": 2, "passed": 1, "failed": 1}' in text
-    assert not rep.passed
-
-
-def test_report_float_formatting():
-    rep = mio.VerificationReport(checks=(make_record(measured=0.1),))
-    text = mio.report_json(rep)
-    assert '"measured": 0.10000000000000001' in text
-    assert '"tolerance": 1e-10' in text
-
-
-def test_report_rejects_non_finite():
-    rep = mio.VerificationReport(checks=(make_record(measured=math.inf),))
-    with pytest.raises(ValueError):
-        mio.report_json(rep)
-
-
-def test_report_rejects_unserializable():
-    rec = mio.CheckRecord(
-        name="bad", n=None, parameters={"obj": object()},
-        measured=0.0, tolerance=1.0, passed=True,
-    )
-    with pytest.raises(TypeError):
-        mio.report_json(mio.VerificationReport(checks=(rec,)))
-
-
-def test_report_numpy_scalars_serialize():
-    rec = mio.CheckRecord(
-        name="np", n=int(np.int64(4)), parameters={"count": np.int64(7)},
-        measured=np.float64(2.0e-9), tolerance=1e-8, passed=True,
-    )
-    text = mio.report_json(mio.VerificationReport(checks=(rec,)))
-    assert '"count": 7' in text
-    assert '"measured": 2.0000000000000001e-09' in text
-
-
-def test_emit_report_no_trailing_newline(tmp_path):
-    path = str(tmp_path / "report.json")
-    mio.emit_report(mio.VerificationReport(), path)
-    blob = open(path, "rb").read()
-    assert blob == b'{"checks": [], "pass": true}'

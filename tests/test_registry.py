@@ -1,9 +1,12 @@
-"""Check registry contents, seeding determinism, and override policing."""
+"""Check registry, seeding determinism, override policing, report JSON."""
 
+import math
+
+import numpy as np
 import pytest
 
 from zmcnoid import verify
-from zmcnoid.meshio import VerificationReport
+from zmcnoid.verify import CheckRecord, VerificationReport, emit_report, report_json
 
 EXPECTED_IDS = (
     "chebyshev.trig_identities",
@@ -115,6 +118,11 @@ def test_ns_restriction():
     assert {c.n for c in rep.checks} == {3}
     wide = verify.run_checks(ids=["analysis.jacobian_sum_identity"])
     assert {c.n for c in wide.checks} == set(range(2, 9))
+    # n = 7 is outside the mean-curvature range, so that check emits nothing
+    seven = verify.run_checks(ids=["analysis.zero_mean_curvature"], ns=[7])
+    assert seven.checks == ()
+    with pytest.raises(ValueError):
+        verify.run_checks(ids=["analysis.jacobian_sum_identity"], ns=[20])
 
 
 def test_full_default_run_passes():
@@ -122,3 +130,76 @@ def test_full_default_run_passes():
     assert rep.passed
     assert len(rep.checks) == 150
     assert {c.name for c in rep.checks} == set(EXPECTED_IDS)
+
+
+# ---------------------------------------------------------------------------
+# verification report JSON
+# ---------------------------------------------------------------------------
+
+def make_record(name="demo.check", passed=True, measured=1.5e-12):
+    return CheckRecord(
+        name=name, n=3, parameters={"samples": 10},
+        measured=measured, tolerance=1e-10, passed=passed,
+    )
+
+
+def test_check_record_dict_uses_pass_key():
+    d = make_record().as_dict()
+    assert d["pass"] is True
+    assert d["name"] == "demo.check"
+    assert d["n"] == 3
+
+
+def test_empty_report_canonical_bytes():
+    assert report_json(VerificationReport()) == '{"checks": [], "pass": true}'
+
+
+def test_report_key_order_and_summary():
+    rep = VerificationReport(
+        suite="verify", prng="numpy-pcg64", seed=42,
+        checks=(make_record(), make_record(passed=False)),
+    )
+    text = report_json(rep)
+    assert text.startswith('{"suite": "verify", "prng": "numpy-pcg64", "seed": 42, "checks": [')
+    assert text.endswith('"pass": false}')
+    assert '"summary": {"total": 2, "passed": 1, "failed": 1}' in text
+    assert not rep.passed
+
+
+def test_report_float_formatting():
+    rep = VerificationReport(checks=(make_record(measured=0.1),))
+    text = report_json(rep)
+    assert '"measured": 0.10000000000000001' in text
+    assert '"tolerance": 1e-10' in text
+
+
+def test_report_rejects_non_finite():
+    rep = VerificationReport(checks=(make_record(measured=math.inf),))
+    with pytest.raises(ValueError):
+        report_json(rep)
+
+
+def test_report_rejects_unserializable():
+    rec = CheckRecord(
+        name="bad", n=None, parameters={"obj": object()},
+        measured=0.0, tolerance=1.0, passed=True,
+    )
+    with pytest.raises(TypeError):
+        report_json(VerificationReport(checks=(rec,)))
+
+
+def test_report_numpy_scalars_serialize():
+    rec = CheckRecord(
+        name="np", n=int(np.int64(4)), parameters={"count": np.int64(7)},
+        measured=np.float64(2.0e-9), tolerance=1e-8, passed=True,
+    )
+    text = report_json(VerificationReport(checks=(rec,)))
+    assert '"count": 7' in text
+    assert '"measured": 2.0000000000000001e-09' in text
+
+
+def test_emit_report_no_trailing_newline(tmp_path):
+    path = str(tmp_path / "report.json")
+    emit_report(VerificationReport(), path)
+    blob = open(path, "rb").read()
+    assert blob == b'{"checks": [], "pass": true}'
