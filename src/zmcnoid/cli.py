@@ -107,7 +107,7 @@ def _cmd_verify(args, parser) -> int:
     ns = None if args.n is None else [args.n]
     overrides = dict(args.tol)
     try:
-        check_arguments(ns=ns, tol_overrides=overrides)
+        check_arguments(ns=ns, tol_overrides=overrides, seed=args.seed)
     except (KeyError, ValueError) as exc:
         parser.error(f"verify: {exc.args[0]}")
     report = run_checks(seed=args.seed, ns=ns, tol_overrides=overrides)

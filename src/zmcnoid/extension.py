@@ -40,12 +40,31 @@ DEFAULT_FD_SCALE = 1e-5
 LORENTZ_FORM = np.diag([-1.0, 1.0, 1.0])
 
 
-class OutOfDomainError(ValueError):
-    """The requested point lies outside Omega_n."""
+class DomainGuardError(ValueError):
+    """A factor u - cos(theta - 2 pi j/n) is <= guard at the point (u, theta).
+
+    n, the first such point and the guard are attributes and in the message.
+    """
+
+    def __init__(self, n, u, theta, guard):
+        self.n, self.u, self.theta, self.guard = n, u, theta, guard
+        super().__init__(f"n={n}: (u, theta) = ({u!r}, {theta!r}) has a factor "
+                         f"u - cos(theta - 2 pi j/n) <= {guard:g}")
 
 
-class BoundaryProximityError(ValueError):
-    """A log factor u - cos(theta - 2 pi j/n) underflows the guard."""
+class OutOfDomainError(DomainGuardError):
+    """The requested point lies outside Omega_n (guard 0)."""
+
+
+class BoundaryProximityError(DomainGuardError):
+    """A log factor u - cos(theta - 2 pi j/n) is below LOG_FACTOR_GUARD."""
+
+
+def _guard(error, n, ua, ta, factors, guard):
+    bad = factors <= guard
+    if bad.any():
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        raise error(n, float(ua.flat[k]), float(ta.flat[k]), guard)
 
 
 class CausalType(IntEnum):
@@ -76,8 +95,7 @@ def domain_factors(n: int, u, theta):
         np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     )
     factors = log_factors(n, ua, ta)
-    if np.any(factors <= 0.0):
-        raise OutOfDomainError("u <= max_j cos(theta - 2 pi j/n) at some point")
+    _guard(OutOfDomainError, n, ua, ta, factors, 0.0)
     return ua, ta, factors
 
 
@@ -135,10 +153,7 @@ def eval_extended_grid(n: int, u, theta):
     point violates the domain or the log-factor guard.
     """
     ua, ta, factors = domain_factors(n, u, theta)
-    if np.any(factors <= LOG_FACTOR_GUARD):
-        raise BoundaryProximityError(
-            f"a factor u - cos(theta - 2 pi j/n) is below {LOG_FACTOR_GUARD:g}"
-        )
+    _guard(BoundaryProximityError, n, ua, ta, factors, LOG_FACTOR_GUARD)
     D = n * factor_product(factors)
     c = (n - 1) / n ** 2
     tn1 = eval_T(n - 1, ua)

@@ -1,14 +1,16 @@
 """Planar polyline intersection primitives.
 
 Level curves at a fixed height live in a plane t = const, so all the
-embeddedness machinery reduces to 2D segment geometry.  Candidate segment
-pairs are pruned with per-block bounding boxes (blocks of consecutive
-segments), then resolved by an exact distance test: two segments are
-reported as intersecting when their minimum distance falls below a world
-tolerance.
+embeddedness machinery reduces to 2D segment geometry.  One matrix of
+bounding-box gaps between blocks of BLOCK_SIZE segments orders the block
+pairs nearest first, and a scan stops at the first gap that reaches its bound
+(the tolerance, or the best distance so far).  The pairs before it get an
+exact distance test; segments closer than a world tolerance intersect.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,99 +66,67 @@ def _segments(points):
     return pts[:-1], pts[1:]
 
 
-def _block_boxes(lo_pts, hi_pts, block):
-    count = lo_pts.shape[0]
-    edges = np.arange(0, count, block)
-    boxes = []
-    for s in edges:
-        e = min(s + block, count)
-        chunk = np.concatenate([lo_pts[s:e], hi_pts[s:e]])
-        boxes.append((chunk.min(axis=0), chunk.max(axis=0), s, e))
-    return boxes
+def _block_pairs(a0, a1, b0, b1, bound, upper=False):
+    """Segment distances of block pairs, nearest bounding boxes first.
+
+    A block is BLOCK_SIZE consecutive segments.  Yields (i, j, d), where d
+    holds the distances between the segments of the blocks starting at i and
+    j.  The Euclidean gap between the two blocks' boxes bounds d from below,
+    so the walk stops at the first gap that is not below bound(), read
+    before each pair.  upper keeps only the block pairs with i <= j.
+    """
+    def boxes(p0, p1):
+        # repeating the last segment fills the last block without moving its box
+        ends = np.pad(np.concatenate([p0, p1], axis=1),
+                      ((0, -len(p0) % BLOCK_SIZE), (0, 0)), mode="edge")
+        ends = ends.reshape(-1, 2 * BLOCK_SIZE, 2)
+        return ends.min(axis=1), ends.max(axis=1)
+
+    lo_a, hi_a = boxes(a0, a1)
+    lo_b, hi_b = boxes(b0, b1)
+    sep = np.maximum(lo_a[:, None] - hi_b[None], lo_b[None] - hi_a[:, None])
+    gap = np.sqrt((np.maximum(sep, 0.0) ** 2).sum(axis=-1))
+    if upper:
+        gap[np.tril_indices_from(gap, -1)] = np.inf
+    order = np.argsort(gap, axis=None, kind="stable")
+    starts = BLOCK_SIZE * np.stack(np.unravel_index(order, gap.shape))
+    for g, i, j in zip(gap.ravel()[order].tolist(), *starts.tolist()):
+        if g >= bound():
+            return
+        sa, sb = slice(i, i + BLOCK_SIZE), slice(j, j + BLOCK_SIZE)
+        yield i, j, segment_pair_distance(a0[sa, None], a1[sa, None], b0[None, sb], b1[None, sb])
 
 
-def _boxes_overlap(b1, b2, tol):
-    return bool(np.all(b1[0] - tol <= b2[1]) and np.all(b2[0] - tol <= b1[1]))
+def _close_pairs(a0, a1, b0, b1, tol, upper=False):
+    hits = []
+    for i, j, d in _block_pairs(a0, a1, b0, b1, lambda: tol, upper):
+        ii, jj = np.nonzero(d < tol)
+        hits.extend(zip((ii + i).tolist(), (jj + j).tolist(), d[ii, jj].tolist()))
+    return sorted(hits)
 
 
-def _pairs_below(a0, a1, b0, b1, ia, ib, tol, skip_adjacent):
-    d = segment_pair_distance(
-        a0[:, None, :], a1[:, None, :], b0[None, :, :], b1[None, :, :]
-    )
-    ii, jj = np.meshgrid(ia, ib, indexing="ij")
-    mask = d < tol
-    if skip_adjacent:
-        mask &= np.abs(ii - jj) > 1
-    return [(int(i), int(j), float(v)) for i, j, v in
-            zip(ii[mask], jj[mask], d[mask])]
-
-
-def polyline_self_intersections(points, tol=DEFAULT_TOLERANCE, block=BLOCK_SIZE):
+def polyline_self_intersections(points, tol=DEFAULT_TOLERANCE):
     """Segment index pairs of a polyline closer than tol, skipping neighbors.
 
     Returns a list of (i, j, distance) with i < j - 1; an empty list
     certifies the sampled polyline is simple at the given tolerance.
     """
     a, b = _segments(points)
-    boxes = _block_boxes(a, b, block)
-    hits = []
-    for bi in range(len(boxes)):
-        for bj in range(bi, len(boxes)):
-            if not _boxes_overlap(boxes[bi], boxes[bj], tol):
-                continue
-            s1, e1 = boxes[bi][2], boxes[bi][3]
-            s2, e2 = boxes[bj][2], boxes[bj][3]
-            found = _pairs_below(
-                a[s1:e1], b[s1:e1], a[s2:e2], b[s2:e2],
-                np.arange(s1, e1), np.arange(s2, e2), tol, True,
-            )
-            hits.extend((i, j, v) for i, j, v in found if i < j)
-    return sorted(set(hits))
+    return [hit for hit in _close_pairs(a, b, a, b, tol, upper=True) if hit[1] - hit[0] > 1]
 
 
-def polyline_pair_intersections(points_a, points_b, tol=DEFAULT_TOLERANCE,
-                                block=BLOCK_SIZE):
+def polyline_pair_intersections(points_a, points_b, tol=DEFAULT_TOLERANCE):
     """Segment index pairs between two polylines closer than tol."""
-    a0, a1 = _segments(points_a)
-    b0, b1 = _segments(points_b)
-    boxes_a = _block_boxes(a0, a1, block)
-    boxes_b = _block_boxes(b0, b1, block)
-    hits = []
-    for ba in boxes_a:
-        for bb in boxes_b:
-            if not _boxes_overlap(ba, bb, tol):
-                continue
-            hits.extend(_pairs_below(
-                a0[ba[2]:ba[3]], a1[ba[2]:ba[3]],
-                b0[bb[2]:bb[3]], b1[bb[2]:bb[3]],
-                np.arange(ba[2], ba[3]), np.arange(bb[2], bb[3]), tol, False,
-            ))
-    return sorted(set(hits))
+    return _close_pairs(*_segments(points_a), *_segments(points_b), tol)
 
 
-def polyline_pair_min_distance(points_a, points_b, block=BLOCK_SIZE) -> float:
+def polyline_pair_min_distance(points_a, points_b) -> float:
     """Minimum distance between two polylines (exact on the samples).
 
-    Prunes with block boxes against the best bound found so far.
+    Block pairs are evaluated nearest box first until a box gap reaches the
+    best distance found so far.
     """
-    a0, a1 = _segments(points_a)
-    b0, b1 = _segments(points_b)
-    boxes_a = _block_boxes(a0, a1, block)
-    boxes_b = _block_boxes(b0, b1, block)
-    # seed the bound from coarse vertex pairs (each an attainable distance)
-    # so pruning engages even when the close approach sits late in box order
-    sa = max(1, a0.shape[0] // 64)
-    sb = max(1, b0.shape[0] // 64)
-    diff = a0[::sa, None, :] - b0[None, ::sb, :]
-    best = float(np.sqrt((diff * diff).sum(axis=-1)).min())
-    for ba in boxes_a:
-        for bb in boxes_b:
-            gap = np.maximum(ba[0] - bb[1], bb[0] - ba[1])
-            if float(np.linalg.norm(np.maximum(gap, 0.0))) >= best:
-                continue
-            d = segment_pair_distance(
-                a0[ba[2]:ba[3], None, :], a1[ba[2]:ba[3], None, :],
-                b0[None, bb[2]:bb[3], :], b1[None, bb[2]:bb[3], :],
-            )
-            best = min(best, float(d.min()))
+    best = math.inf
+    for _, _, d in _block_pairs(*_segments(points_a), *_segments(points_b), lambda: best):
+        best = min(best, float(d.min()))
     return best

@@ -129,7 +129,8 @@ def tessellate(
 
     def fill(rows):
         a, b = rows
-        native[a:b] = eval_extended_grid(n, uu[a:b], tt[a:b])
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            native[a:b] = eval_extended_grid(n, uu[a:b], tt[a:b])
 
     chunk = max(1, -(-nu // (4 * workers)))
     spans = [(a, min(a + chunk, nu)) for a in range(0, nu, chunk)]
@@ -139,6 +140,8 @@ def tessellate(
     else:
         for span in spans:
             fill(span)
+    if not np.isfinite(native).all():
+        raise ValueError(f"n={n}, u_max={u_max!r}: the surface overflows float64 on this grid")
 
     positions = native[..., _DISPLAY_ORDER].reshape(-1, 3)
     domain = np.stack([uu.ravel(), tt.ravel()], axis=1)
@@ -163,8 +166,10 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
 
     OBJ has no standard per-vertex scalar channel, so the causal attribute
     rides in a CSV of (vertex_index, causal) with 1-based indices matching
-    the `f` records.
+    the `f` records.  Non-finite positions raise ValueError.
     """
+    if not np.isfinite(mesh.positions).all():
+        raise ValueError("mesh positions must be finite")
     lines = []
     for x, y, t in mesh.positions:
         lines.append(f"v {float(x)!r} {float(y)!r} {float(t)!r}")
@@ -213,6 +218,8 @@ _PLY_FACE_DTYPE = np.dtype(
 
 def export_ply(mesh: SurfaceMesh, path: str) -> None:
     """Binary little-endian PLY with a per-vertex uchar causal property."""
+    if not np.isfinite(mesh.positions).all():
+        raise ValueError("mesh positions must be finite")
     header = "\n".join(
         [
             "ply",

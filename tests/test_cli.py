@@ -91,6 +91,21 @@ def test_mesh_rejects_non_finite_and_oversized_input(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_mesh_rejects_overflowing_surface(tmp_path, capsys):
+    # both grids evaluate to NaN coordinates in float64 (112 of 192 at n = 17)
+    out = tmp_path / "x.ply"
+    for n, u_max in (("17", "1e20"), ("3", "1e160")):
+        argv = ["mesh", "--n", n, "--u-max", u_max, "--grid", "8x8", "--out", str(out)]
+        assert run_expect_usage_error(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.rstrip("\n").splitlines()[-1]
+        assert last.startswith("zmcnoid: error: mesh: ")
+        assert f"n={n}" in last and "u_max=" in last
+        assert not out.exists()
+
+
 def test_mesh_io_error(tmp_path):
     out = str(tmp_path / "missing" / "deep" / "x.obj")
     assert run_cli(["mesh", "--n", "3", "--grid", "12x16", "--out", out]) == 3
@@ -139,6 +154,22 @@ def test_verify_tol_validation():
     assert run_expect_usage_error(["verify", "--tol", "weierstrass.null_form=-1"]) == 2
     assert run_expect_usage_error(["verify", "--n", "0"]) == 2
     assert run_expect_usage_error(["verify", "--n", "20"]) == 2
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert run_expect_usage_error(["verify", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.rstrip("\n").splitlines()[-1].startswith("zmcnoid: error: verify: ")
+
+
+def test_levels_guard_error_names_the_point(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    assert run_expect_usage_error(["levels", "--n", "3", "--h", "1e8", "--out", str(out)]) == 2
+    last = capsys.readouterr().err.rstrip("\n").splitlines()[-1]
+    assert last.startswith("zmcnoid: error: levels: n=3: (u, theta) = (")
+    assert "1e-14" in last
+    assert not out.exists()
 
 
 def test_verify_io_error(tmp_path):

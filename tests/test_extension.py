@@ -91,6 +91,21 @@ def test_boundary_guard_raises():
         ext.eval_extended_grid(2, 1.0 + 5e-15, 0.0)
 
 
+def test_guard_errors_name_the_point():
+    u = np.array([[2.0, 0.4], [0.3, 3.0]])
+    theta = np.array([[0.0, 0.1], [0.2, 0.3]])
+    with pytest.raises(ext.OutOfDomainError) as out:
+        ext.eval_extended_grid(3, u, theta)
+    with pytest.raises(ext.BoundaryProximityError) as near:
+        ext.eval_extended_grid(2, 1.0 + 5e-15, 0.0)
+    for err, want in ((out.value, (3, 0.4, 0.1, 0.0)),
+                      (near.value, (2, 1.0 + 5e-15, 0.0, ext.LOG_FACTOR_GUARD))):
+        assert isinstance(err, ValueError)
+        assert (err.n, err.u, err.theta, err.guard) == want
+        assert f"n={want[0]}: (u, theta) = ({want[1]!r}, {want[2]!r})" in str(err)
+        assert f"<= {want[3]:g}" in str(err)
+
+
 def test_psi_factored_matches_direct_difference():
     rng = np.random.default_rng(302)
     for n in (2, 3, 5, 8):

@@ -180,13 +180,32 @@ def test_pair_min_distance_matches_direct():
     assert abs(got - direct) < 1e-14
 
 
+def all_pair_distances(a, b):
+    """Unpruned oracle: every segment of polyline a against every one of b."""
+    return geo.segment_pair_distance(a[:-1, None], a[1:, None], b[None, :-1], b[None, 1:])
+
+
 def test_block_pruning_equivalence():
-    # tiny blocks force many box rejections; results must not change
+    # the pruned scans must agree exactly with the all-pairs oracle: a
+    # 600-point lemniscate and a random walk spanning several blocks, neither
+    # a multiple of BLOCK_SIZE segments long
     t = np.linspace(0.0, 2.0 * math.pi, 600)
-    pts = np.stack([np.sin(2.0 * t) / 2.0, np.sin(t)], axis=1)
-    small = geo.polyline_self_intersections(pts, block=7)
-    large = geo.polyline_self_intersections(pts, block=4096)
-    assert small == large
+    lemniscate = np.stack([np.sin(2.0 * t) / 2.0, np.sin(t)], axis=1)
+    walk = np.cumsum(np.random.default_rng(503).normal(size=(3 * geo.BLOCK_SIZE + 6, 2)), axis=0)
+    assert all((len(p) - 1) % geo.BLOCK_SIZE for p in (lemniscate, walk))
+    for pts in (lemniscate, walk / 8.0):
+        for other in (pts[::-1] + 0.05, pts + [3.0, 0.0], np.flip(pts, axis=1)):
+            d = all_pair_distances(pts, other)
+            assert geo.polyline_pair_min_distance(pts, other) == float(d.min())
+            for tol in (1e-9, 2e-2):
+                want = [(int(i), int(j), float(d[i, j])) for i, j in np.argwhere(d < tol)]
+                assert geo.polyline_pair_intersections(pts, other, tol) == want
+        d = all_pair_distances(pts, pts)
+        for tol in (1e-9, 2e-2):
+            want = [(int(i), int(j), float(d[i, j]))
+                    for i, j in np.argwhere(d < tol) if j - i > 1]
+            assert geo.polyline_self_intersections(pts, tol) == want
+            assert want
 
 
 def test_polyline_input_validation():

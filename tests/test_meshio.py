@@ -188,6 +188,17 @@ def test_ply_byte_determinism(small_mesh, tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_mesh_writers_refuse_non_finite_positions(small_mesh, tmp_path):
+    positions = small_mesh.positions.copy()
+    positions[5, 1] = np.nan
+    bad = mio.SurfaceMesh(n=3, positions=positions, domain=small_mesh.domain,
+                          causal=small_mesh.causal, faces=small_mesh.faces)
+    for writer, name in ((mio.export_ply, "x.ply"), (mio.export_obj, "x.obj")):
+        with pytest.raises(ValueError):
+            writer(bad, str(tmp_path / name))
+        assert not (tmp_path / name).exists()
+
+
 # ---------------------------------------------------------------------------
 # level-curve CSV
 # ---------------------------------------------------------------------------

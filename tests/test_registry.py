@@ -132,6 +132,20 @@ def test_full_default_run_passes():
     assert {c.name for c in rep.checks} == set(EXPECTED_IDS)
 
 
+@pytest.mark.parametrize("seed", [140891, 249523])
+def test_report_seeds_pass_derivative_agreement(seed):
+    # the finite-difference minors of these draws once carried 1e-6 of
+    # rounding noise against a closed form that mpmath confirms
+    assert verify.run_checks(seed=seed).passed
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        verify.check_arguments(seed=-1)
+    with pytest.raises(ValueError):
+        verify.run_checks(ids=["chebyshev.trig_identities"], seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # verification report JSON
 # ---------------------------------------------------------------------------
