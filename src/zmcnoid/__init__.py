@@ -13,7 +13,7 @@ Module map:
 - ``weierstrass``  holomorphic data, closed-form lift, polar surface
 - ``extension``    extended surface on the (u, theta) domain, isometry group
 - ``analysis``     derivatives, level curves, embeddedness and properness
-- ``geometry``     planar polyline intersection predicates
+- ``geometry``     planar polyline scans over box-tree forests
 - ``meshio``       tessellation and OBJ/PLY/CSV export
 - ``verify``       enumerable registry of invariant checks, JSON reports
 - ``cli``          mesh / verify / levels / report subcommands

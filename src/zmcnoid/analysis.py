@@ -28,11 +28,7 @@ from .extension import (
     rotation_matrix,
     x2_log_gap,
 )
-from .geometry import (
-    polyline_pair_intersections,
-    polyline_pair_min_distance,
-    polyline_self_intersections,
-)
+from .geometry import check_tolerance, polyline_self_intersections, polyline_set_scan
 from .weierstrass import lorentz_cross, lorentz_inner
 
 DESCENT_THRESHOLD = -1e3
@@ -507,16 +503,11 @@ def _in_sector(x, y, h, n):
 
 
 def _scan_height(n: int, h: float, samples: int, tol: float) -> HeightScan:
-    curves = level_curve(n, h, samples)
-    xy = [c.points[:, 1:3] for c in curves]
+    xy = np.stack([c.points[:, 1:3] for c in level_curve(n, h, samples)])
     self_hits = len(polyline_self_intersections(xy[0], tol))
-    cross_hits = 0
-    min_cross = math.inf
     # rotation carries copy a to copy a+k, so testing copy 0 against every
     # other covers all pairs
-    for k in range(1, n):
-        cross_hits += len(polyline_pair_intersections(xy[0], xy[k], tol))
-        min_cross = min(min_cross, polyline_pair_min_distance(xy[0], xy[k]))
+    cross_hits, min_cross = polyline_set_scan(xy[:1], xy[1:], tol)
     # sector certificate: the mirrored slice is an isometric image, so its
     # sector containment is the |h| statement
     sector = bool(region_Dh_certificate(n, abs(h), arc_samples=samples).passed)
@@ -554,13 +545,8 @@ def _scan_rays(n: int, samples: int, tol: float) -> HeightScan:
         )
         speed_ok &= bool(np.all(speed > 0.0))
         collinear &= bool(np.max(np.abs(ray.points[:, 0])) < tol)
-    cross_hits = 0
-    min_cross = math.inf
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            pa, pb = rays[a].points[:, 1:3], rays[b].points[:, 1:3]
-            cross_hits += len(polyline_pair_intersections(pa, pb, tol))
-            min_cross = min(min_cross, polyline_pair_min_distance(pa, pb))
+    cross_hits, min_cross = polyline_set_scan(
+        np.stack([r.points[:, 1:3] for r in rays]), tol=tol)
     origin_free = all(
         float(np.min(np.linalg.norm(r.points, axis=1))) > 0.0 for r in rays
     )
@@ -585,6 +571,7 @@ def embeddedness_scan(
     """
     if n < 3:
         raise ValueError("embeddedness scan needs n >= 3")
+    tol = check_tolerance(tol)
     records = []
     for h in heights:
         if h == 0.0:

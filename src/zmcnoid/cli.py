@@ -67,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_parse_tol, action="append", default=[], metavar="NAME=VALUE",
         help="override a residual tolerance by check id (repeatable)",
     )
+    ver.add_argument("--timings", action="store_true",
+                     help="print each check's wall time to stderr")
 
     levels = sub.add_parser("levels", help="sample level curves and write CSV")
     levels.add_argument("--n", type=int, required=True, help="surface order, >= 3")
@@ -110,7 +112,10 @@ def _cmd_verify(args, parser) -> int:
         check_arguments(ns=ns, tol_overrides=overrides, seed=args.seed)
     except (KeyError, ValueError) as exc:
         parser.error(f"verify: {exc.args[0]}")
-    report = run_checks(seed=args.seed, ns=ns, tol_overrides=overrides)
+    timings = {} if args.timings else None
+    report = run_checks(seed=args.seed, ns=ns, tol_overrides=overrides, timings=timings)
+    for check_id, seconds in (timings or {}).items():
+        print(f"{check_id}: {seconds:.3f} s", file=sys.stderr)
     if args.out:
         emit_report(report, args.out)
         summary = report.summary()

@@ -1,11 +1,12 @@
 """Planar polyline intersection primitives.
 
 Level curves at a fixed height live in a plane t = const, so all the
-embeddedness machinery reduces to 2D segment geometry.  One matrix of
-bounding-box gaps between blocks of BLOCK_SIZE segments orders the block
-pairs nearest first, and a scan stops at the first gap that reaches its bound
-(the tolerance, or the best distance so far).  The pairs before it get an
-exact distance test; segments closer than a world tolerance intersect.
+embeddedness machinery reduces to 2D segment geometry.  Every scan is one
+walk down two box forests: each polyline gets a 4-ary tree of bounding boxes
+over its segments, and the walk keeps, one level at a time, the box pairs
+whose gap is within its bound (the tolerance, or the best distance found so
+far).  The segment pairs that survive to the leaves get one exact distance
+test; segments closer than a world tolerance intersect.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
-BLOCK_SIZE = 64
 
 
 def _cross2(a, b):
@@ -59,50 +59,126 @@ def segment_pair_distance(a0, a1, b0, b1):
     return np.where(crossing, 0.0, dist)
 
 
-def _segments(points):
+def check_tolerance(tol) -> float:
+    """tol as a float, or ValueError unless it is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    return float(tol)
+
+
+def _polylines(points, ndim):
+    """Validated float array of one polyline (ndim 2) or a stack of them (3)."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("polyline must be an (N >= 2, 2) array")
-    return pts[:-1], pts[1:]
+    if pts.ndim != ndim or pts.shape[-1] != 2 or pts.shape[-2] < 2 or 0 in pts.shape:
+        shape = "(N >= 2, 2)" if ndim == 2 else "(P >= 1, N >= 2, 2)"
+        raise ValueError(f"polyline must be an {shape} array, got shape {pts.shape}")
+    bad = np.argwhere(~np.isfinite(pts).all(axis=-1))
+    if len(bad):
+        *p, i = bad[0].tolist()
+        where = f"polyline {p[0]} point {i}" if p else f"polyline point {i}"
+        raise ValueError(f"{where} is not finite: {pts[tuple(bad[0])].tolist()}")
+    return pts
 
 
-def _block_pairs(a0, a1, b0, b1, bound, upper=False):
-    """Segment distances of block pairs, nearest bounding boxes first.
+def _empty_boxes(polylines, width):
+    """(2, 3, polylines, width) lo and hi rows, all empty: lo = +inf, hi = -inf."""
+    box = np.empty((2, 3, polylines, width))
+    box[0], box[1] = np.inf, -np.inf
+    return box
 
-    A block is BLOCK_SIZE consecutive segments.  Yields (i, j, d), where d
-    holds the distances between the segments of the blocks starting at i and
-    j.  The Euclidean gap between the two blocks' boxes bounds d from below,
-    so the walk stops at the first gap that is not below bound(), read
-    before each pair.  upper keeps only the block pairs with i <= j.
+
+def _forest(stack, key, depth):
+    """Box levels of a (P, N, 2) stack of polylines, leaves first.
+
+    Level L is (lo, hi, m): m boxes per polyline, each bounding 4**L
+    consecutive segments, as (3, P * m) rows of x, y and key, polyline-major.
+    The segment key (broadcast to (P, N - 1)) is carried as its min and max.
+    Below the top level, which has one box per polyline, m is padded to a
+    multiple of 4 with empty boxes.
     """
-    def boxes(p0, p1):
-        # repeating the last segment fills the last block without moving its box
-        ends = np.pad(np.concatenate([p0, p1], axis=1),
-                      ((0, -len(p0) % BLOCK_SIZE), (0, 0)), mode="edge")
-        ends = ends.reshape(-1, 2 * BLOCK_SIZE, 2)
-        return ends.min(axis=1), ends.max(axis=1)
-
-    lo_a, hi_a = boxes(a0, a1)
-    lo_b, hi_b = boxes(b0, b1)
-    sep = np.maximum(lo_a[:, None] - hi_b[None], lo_b[None] - hi_a[:, None])
-    gap = np.sqrt((np.maximum(sep, 0.0) ** 2).sum(axis=-1))
-    if upper:
-        gap[np.tril_indices_from(gap, -1)] = np.inf
-    order = np.argsort(gap, axis=None, kind="stable")
-    starts = BLOCK_SIZE * np.stack(np.unravel_index(order, gap.shape))
-    for g, i, j in zip(gap.ravel()[order].tolist(), *starts.tolist()):
-        if g >= bound():
-            return
-        sa, sb = slice(i, i + BLOCK_SIZE), slice(j, j + BLOCK_SIZE)
-        yield i, j, segment_pair_distance(a0[sa, None], a1[sa, None], b0[None, sb], b1[None, sb])
+    segments = stack.shape[1] - 1
+    box = _empty_boxes(len(stack), segments + -segments % 4 if depth else 1)
+    xy = np.moveaxis(stack, 2, 0)
+    np.minimum(xy[..., :-1], xy[..., 1:], out=box[0, :2, :, :segments])
+    np.maximum(xy[..., :-1], xy[..., 1:], out=box[1, :2, :, :segments])
+    box[:, 2, :, :segments] = key
+    levels = [(*box.reshape(2, 3, -1), box.shape[3])]
+    for level in range(1, depth + 1):
+        m = box.shape[3] // 4
+        quads = box.reshape(2, 3, len(stack), m, 4)
+        box = _empty_boxes(len(stack), m + -m % 4 if level < depth else 1)
+        quads[0].min(axis=3, out=box[0, ..., :m])
+        quads[1].max(axis=3, out=box[1, ..., :m])
+        levels.append((*box.reshape(2, 3, -1), box.shape[3]))
+    return levels
 
 
-def _close_pairs(a0, a1, b0, b1, tol, upper=False):
-    hits = []
-    for i, j, d in _block_pairs(a0, a1, b0, b1, lambda: tol, upper):
-        ii, jj = np.nonzero(d < tol)
-        hits.extend(zip((ii + i).tolist(), (jj + j).tolist(), d[ii, jj].tolist()))
-    return sorted(hits)
+def _walk(a, b, tol, nearest, key=0.0, skip=-1):
+    """Segment pairs of two polyline stacks that no box gap rules out.
+
+    a and b are (P, N, 2) stacks; b None walks a against itself.  A box
+    pair (I, J) is admissible iff key_lo[I] + skip < key_hi[J]; the default
+    key and skip admit every pair of nonempty boxes.  From the (polyline,
+    polyline) root pairs down, each level keeps the admissible box pairs
+    whose gap is within the bound and expands them into their 16 children.
+    The bound is tol.  With nearest it is max(tol, best), where best is
+    tightened at every level from the distances of the first segments of
+    the nearest 16 admissible box pairs; that needs a key that is constant
+    on each polyline, so that those segment pairs are admissible too.
+
+    Returns the leaf indices (I, J) of the surviving segment pairs and their
+    distances d: every pair closer than tol is among them, and with nearest
+    so is a closest pair.
+    """
+    same = b is None
+    b = a if same else b
+    depth = ((max(a.shape[1], b.shape[1]) - 2).bit_length() + 1) // 2   # ceil(log4(segments))
+    fa = _forest(a, key, depth)
+    fb = fa if same else _forest(b, key, depth)
+    pa, pb = a.reshape(-1, 2), b.reshape(-1, 2)
+    # box gaps and segment distances round differently; a few ulps of the
+    # coordinate scale keep every pair whose computed distance is in bound
+    slack = 32 * np.finfo(float).eps * max(pa.max(), -pa.min(), pb.max(), -pb.min())
+
+    def distances(I, J, level):
+        # box i of polyline p starts with segment i * 4**level of that polyline
+        (p, i), (q, j) = np.divmod(I, fa[level][2]), np.divmod(J, fb[level][2])
+        ia, jb = p * a.shape[1] + i * 4 ** level, q * b.shape[1] + j * 4 ** level
+        return segment_pair_distance(pa[ia], pa[ia + 1], pb[jb], pb[jb + 1])
+
+    def children(index, forest, level):
+        p, i = np.divmod(index, forest[level][2])
+        return (p * forest[level - 1][2] + 4 * i)[:, None] + np.arange(4, dtype=np.int32)
+
+    # int32 indices and one coordinate row at a time keep the temporaries small
+    I = np.repeat(np.arange(len(a), dtype=np.int32), len(b))
+    J = np.tile(np.arange(len(b), dtype=np.int32), len(a))
+    bound = math.inf if nearest else tol
+    for level in range(depth, -1, -1):
+        (lo_a, hi_a, _), (lo_b, hi_b, _) = fa[level], fb[level]
+        ok = lo_a[2][I] + skip < hi_b[2][J]
+        I, J = I[ok], J[ok]
+        gap = np.zeros(len(I))
+        for x in range(2):
+            sep = np.maximum(lo_a[x][I] - hi_b[x][J], lo_b[x][J] - hi_a[x][I])
+            gap += np.square(np.maximum(sep, 0.0))
+        gap = np.sqrt(gap)
+        if nearest and level and len(I):
+            near = np.argpartition(gap, 15)[:16] if len(I) > 16 else slice(None)
+            bound = min(bound, max(tol, float(distances(I[near], J[near], level).min())))
+        keep = gap <= bound + slack
+        I, J = I[keep], J[keep]
+        if level:
+            I = np.repeat(children(I, fa, level), 4, axis=1).ravel()
+            J = np.tile(children(J, fb, level), 4).ravel()
+    return I, J, distances(I, J, 0)
+
+
+def _hits(I, J, d, tol):
+    close = d < tol
+    I, J, d = I[close], J[close], d[close]
+    order = np.lexsort((J, I))
+    return list(zip(I[order].tolist(), J[order].tolist(), d[order].tolist()))
 
 
 def polyline_self_intersections(points, tol=DEFAULT_TOLERANCE):
@@ -111,22 +187,37 @@ def polyline_self_intersections(points, tol=DEFAULT_TOLERANCE):
     Returns a list of (i, j, distance) with i < j - 1; an empty list
     certifies the sampled polyline is simple at the given tolerance.
     """
-    a, b = _segments(points)
-    return [hit for hit in _close_pairs(a, b, a, b, tol, upper=True) if hit[1] - hit[0] > 1]
+    tol = check_tolerance(tol)
+    pts = _polylines(points, 2)[None]
+    return _hits(*_walk(pts, None, tol, False, key=np.arange(pts.shape[1] - 1), skip=1), tol)
 
 
 def polyline_pair_intersections(points_a, points_b, tol=DEFAULT_TOLERANCE):
     """Segment index pairs between two polylines closer than tol."""
-    return _close_pairs(*_segments(points_a), *_segments(points_b), tol)
+    tol = check_tolerance(tol)
+    a, b = _polylines(points_a, 2)[None], _polylines(points_b, 2)[None]
+    return _hits(*_walk(a, b, tol, False), tol)
 
 
 def polyline_pair_min_distance(points_a, points_b) -> float:
-    """Minimum distance between two polylines (exact on the samples).
+    """Minimum distance between two polylines (exact on the samples)."""
+    a, b = _polylines(points_a, 2)[None], _polylines(points_b, 2)[None]
+    return float(_walk(a, b, 0.0, True)[2].min())
 
-    Block pairs are evaluated nearest box first until a box gap reaches the
-    best distance found so far.
+
+def polyline_set_scan(polylines, others=None, tol=DEFAULT_TOLERANCE):
+    """Close segment pairs and the minimum distance between polylines.
+
+    polylines and others are (P, N, 2) stacks of equal-length polylines.
+    Each polyline of polylines is tested against each one of others; with
+    others None, each pair of distinct polylines in polylines is tested
+    once.  Returns (hits, distance): the number of segment pairs closer than
+    tol, and the minimum segment distance over all tested pairs.
     """
-    best = math.inf
-    for _, _, d in _block_pairs(*_segments(points_a), *_segments(points_b), lambda: best):
-        best = min(best, float(d.min()))
-    return best
+    tol = check_tolerance(tol)
+    a = _polylines(polylines, 3)
+    if others is None:
+        _, _, d = _walk(a, None, tol, True, key=np.arange(len(a))[:, None], skip=0)
+    else:
+        _, _, d = _walk(a, _polylines(others, 3), tol, True)
+    return int(np.count_nonzero(d < tol)), float(d.min(initial=math.inf))

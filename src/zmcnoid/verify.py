@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -670,7 +671,8 @@ def check_arguments(ids=None, ns=None, tol_overrides=None, seed=0) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def run_checks(ids=None, seed: int = 0, ns=None, tol_overrides=None) -> VerificationReport:
+def run_checks(ids=None, seed: int = 0, ns=None, tol_overrides=None,
+               timings=None) -> VerificationReport:
     """Run registered checks (all by default) with a single seeded stream.
 
     ids filters by exact check id; ns restricts per-surface checks to the
@@ -678,7 +680,9 @@ def run_checks(ids=None, seed: int = 0, ns=None, tol_overrides=None) -> Verifica
     records; tol_overrides remaps residual tolerances by check id and
     re-judges the affected records.  ``check_arguments`` says which
     arguments are rejected.  The PCG64 stream is consumed in registry order,
-    so identical arguments reproduce the report exactly.
+    so identical arguments reproduce the report exactly.  A timings dict,
+    when given, receives the wall seconds of each check run, by check id;
+    they stay out of the report.
     """
     check_arguments(ids, ns, tol_overrides, seed)
     wanted = set(registry_ids() if ids is None else ids)
@@ -687,7 +691,10 @@ def run_checks(ids=None, seed: int = 0, ns=None, tol_overrides=None) -> Verifica
     records = []
     for check in REGISTRY:
         if check.id in wanted:
+            start = time.perf_counter()
             records.extend(check.runner(rng, ns))
+            if timings is not None:
+                timings[check.id] = time.perf_counter() - start
     records = [
         replace(r, tolerance=tols[r.name], passed=r.measured < tols[r.name])
         if r.name in tols else r

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zmcnoid import analysis as an
 from zmcnoid import extension as ext
+from zmcnoid import geometry as geo
 from zmcnoid.chebyshev import eval_T, eval_U, psi
 
 
@@ -376,6 +377,25 @@ def test_embeddedness_scan_rays():
 def test_embeddedness_scan_needs_n3():
     with pytest.raises(ValueError):
         an.embeddedness_scan(2, [1.0])
+
+
+def test_embeddedness_scan_rejects_bad_tolerance():
+    for tol in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            an.embeddedness_scan(3, [0.1], tol=tol)
+
+
+def test_embeddedness_slices_match_all_pairs_oracle():
+    # unpruned: every pair of copies (or of rays), every pair of segments
+    for h in (0.1, -1.0, 0.0):
+        rec = an.embeddedness_scan(5, [h], samples=256).records[0]
+        xy = [c.points[:, 1:3] for c in an.level_curve(5, h, 256)]
+        d = np.concatenate([
+            geo.segment_pair_distance(p[:-1, None], p[1:, None], q[None, :-1], q[None, 1:]).ravel()
+            for k, p in enumerate(xy) for q in xy[k + 1:]
+        ])
+        assert rec.cross_intersections == int(np.count_nonzero(d < an.SCAN_TOLERANCE))
+        assert rec.min_cross_distance == float(d.min())
 
 
 def test_in_sector_predicate():

@@ -1,11 +1,12 @@
 """Exit codes, artifact emission, and byte determinism of the CLI."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
-from zmcnoid import cli
+from zmcnoid import cli, verify
 from zmcnoid.meshio import read_obj, read_ply
 
 
@@ -129,6 +130,17 @@ def test_verify_stdout_byte_identical(capsys):
     run_cli(["verify", "--n", "4", "--seed", "42"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_timings_go_to_stderr(capsys):
+    run_cli(["verify", "--n", "3", "--seed", "42"])
+    plain = capsys.readouterr()
+    run_cli(["verify", "--n", "3", "--seed", "42", "--timings"])
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    lines = timed.err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == list(verify.registry_ids())
+    assert all(re.fullmatch(r"[\w.]+: \d+\.\d{3} s", line) for line in lines)
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -185,27 +185,126 @@ def all_pair_distances(a, b):
     return geo.segment_pair_distance(a[:-1, None], a[1:, None], b[None, :-1], b[None, 1:])
 
 
+def square_spiral(turns):
+    """Grid-aligned spiral: parallel arms exactly 1 apart, where box gaps equal segment distances."""
+    pts, step = [(0.0, 0.0)], 1.0
+    for k in range(turns):
+        dx, dy = [(1, 0), (0, 1), (-1, 0), (0, -1)][k % 4]
+        x, y = pts[-1]
+        pts.append((x + dx * step, y + dy * step))
+        step += k % 2
+    return np.array(pts)
+
+
+def check_pair_scans(pts, other, tols):
+    d = all_pair_distances(pts, other)
+    assert geo.polyline_pair_min_distance(pts, other) == float(d.min())
+    for tol in tols:
+        want = [(int(i), int(j), float(d[i, j])) for i, j in np.argwhere(d < tol)]
+        assert geo.polyline_pair_intersections(pts, other, tol) == want
+
+
+def check_self_scan(pts, tols):
+    d = all_pair_distances(pts, pts)
+    for tol in tols:
+        want = [(int(i), int(j), float(d[i, j]))
+                for i, j in np.argwhere(d < tol) if j - i > 1]
+        assert geo.polyline_self_intersections(pts, tol) == want
+
+
+def check_set_scans(stack, tols):
+    # the copy stack: polyline 0 against every other one
+    d = np.concatenate([all_pair_distances(stack[0], q).ravel() for q in stack[1:]])
+    # the same set: every pair of distinct polylines once
+    e = np.concatenate([all_pair_distances(stack[p], stack[q]).ravel()
+                        for p in range(len(stack)) for q in range(p + 1, len(stack))])
+    for tol in tols:
+        assert geo.polyline_set_scan(stack[:1], stack[1:], tol) == (
+            int(np.count_nonzero(d < tol)), float(d.min()))
+        assert geo.polyline_set_scan(stack, tol=tol) == (
+            int(np.count_nonzero(e < tol)), float(e.min()))
+
+
 def test_block_pruning_equivalence():
     # the pruned scans must agree exactly with the all-pairs oracle: a
-    # 600-point lemniscate and a random walk spanning several blocks, neither
-    # a multiple of BLOCK_SIZE segments long
+    # 600-point lemniscate and a random walk spanning several 64-segment
+    # blocks, neither a multiple of 64 segments long
     t = np.linspace(0.0, 2.0 * math.pi, 600)
     lemniscate = np.stack([np.sin(2.0 * t) / 2.0, np.sin(t)], axis=1)
-    walk = np.cumsum(np.random.default_rng(503).normal(size=(3 * geo.BLOCK_SIZE + 6, 2)), axis=0)
-    assert all((len(p) - 1) % geo.BLOCK_SIZE for p in (lemniscate, walk))
+    walk = np.cumsum(np.random.default_rng(503).normal(size=(3 * 64 + 6, 2)), axis=0)
+    assert all((len(p) - 1) % 64 for p in (lemniscate, walk))
     for pts in (lemniscate, walk / 8.0):
         for other in (pts[::-1] + 0.05, pts + [3.0, 0.0], np.flip(pts, axis=1)):
-            d = all_pair_distances(pts, other)
-            assert geo.polyline_pair_min_distance(pts, other) == float(d.min())
-            for tol in (1e-9, 2e-2):
-                want = [(int(i), int(j), float(d[i, j])) for i, j in np.argwhere(d < tol)]
-                assert geo.polyline_pair_intersections(pts, other, tol) == want
-        d = all_pair_distances(pts, pts)
-        for tol in (1e-9, 2e-2):
-            want = [(int(i), int(j), float(d[i, j]))
-                    for i, j in np.argwhere(d < tol) if j - i > 1]
-            assert geo.polyline_self_intersections(pts, tol) == want
-            assert want
+            check_pair_scans(pts, other, (1e-9, 2e-2))
+        check_self_scan(pts, (1e-9, 2e-2))
+        assert geo.polyline_self_intersections(pts, 2e-2)
+    # trees of unequal depth: 599 segments against 197 and against 1 to 4
+    rng = np.random.default_rng(504)
+    shorts = [rng.normal(scale=0.5, size=(k, 2)) for k in (2, 3, 5)]
+    for pts in [walk / 8.0] + shorts:
+        check_pair_scans(lemniscate, pts, (1e-9, 2e-1))
+        check_pair_scans(pts, lemniscate, (1e-9, 2e-1))
+    for pts in shorts:
+        check_self_scan(pts, (1e-9, 2e-1, 1.0))
+        for other in shorts:
+            check_pair_scans(pts, other, (1e-9, 2e-1))
+    # the set walks: copies of the lemniscate and of the walk, and random walks
+    for base in (lemniscate, walk / 8.0):
+        check_set_scans(np.stack([base + [0.3 * k, 0.1 * k] for k in range(3)]), (1e-9, 2e-2))
+    check_set_scans(np.cumsum(rng.normal(size=(6, 70, 2)), axis=1) / 4.0, (1e-9, 1e-1))
+    check_set_scans(rng.normal(size=(4, 3, 2)), (1e-9, 1e-1))
+
+
+def test_grid_aligned_pruning_at_exact_distances():
+    # on the grid, box gaps equal segment distances exactly; a tolerance at
+    # an observed distance excludes the pairs at that distance, and the next
+    # float up includes them
+    spiral = square_spiral(120)
+    d = all_pair_distances(spiral, spiral)
+    assert np.any(d == 1.0)
+    tols = (1.0, np.nextafter(1.0, 2.0), 0.5, np.nextafter(0.5, 1.0))
+    check_self_scan(spiral, tols)
+    for other in (spiral + [0.5, 0.0], spiral + [0.0, 0.5], spiral[::-1] + [2.0, 0.5]):
+        assert np.any(all_pair_distances(spiral, other) == 0.5)
+        check_pair_scans(spiral, other, tols)
+    check_set_scans(np.stack([spiral + [0.5 * k, 0.0] for k in range(4)]), tols)
+
+
+def test_pruning_keeps_pairs_that_round_below_their_box_gap():
+    # the closest points are segment ends; the distance reaches one of them
+    # as a0 + 1 * (a1 - a0), which rounds, while the box gap reads it exactly
+    a = np.array([[-0.34994871813811557, -0.6797960842936217],
+                  [-0.4740099829446389, -0.7413993770627885]])
+    b = np.array([[-8.497837555983164, -4.919992349591084],
+                  [-0.47401011700239426, -0.7413994530507098]])
+    d = float(all_pair_distances(a, b)[0, 0])
+    tol = float(np.nextafter(d, 1.0))
+    sep = np.maximum(a.min(axis=0) - b.max(axis=0), b.min(axis=0) - a.max(axis=0))
+    assert math.hypot(*np.maximum(sep, 0.0)) > tol
+    assert geo.polyline_pair_intersections(a, b, tol) == [(0, 0, d)]
+    assert geo.polyline_set_scan(a[None], b[None], tol) == (1, d)
+
+
+def test_scans_reject_bad_tolerance_and_points():
+    a = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    b = np.array([[0.0, -1.0], [0.0, 1.0]])
+    assert geo.polyline_pair_intersections(a, b) == [(0, 0, 0.0)]
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            geo.polyline_pair_intersections(a, b, tol)
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            geo.polyline_self_intersections(np.concatenate([a, b]), tol)
+        with pytest.raises(ValueError, match=f"got {tol!r}"):
+            geo.polyline_set_scan(np.stack([a, b]), tol=tol)
+    bad = np.array([[0.0, 0.0], [math.nan, 1.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"point 1 is not finite: \[nan, 1.0\]"):
+        geo.polyline_pair_min_distance(a, bad)
+    with pytest.raises(ValueError, match="point 1 is not finite"):
+        geo.polyline_pair_intersections(bad, a)
+    with pytest.raises(ValueError, match="point 2 is not finite"):
+        geo.polyline_self_intersections(np.concatenate([a, [[math.inf, 0.0]]]))
+    with pytest.raises(ValueError, match="polyline 1 point 1 is not finite"):
+        geo.polyline_set_scan(np.stack([a[[0, 1, 1]], bad]))
 
 
 def test_polyline_input_validation():
