@@ -386,13 +386,17 @@ def test_embeddedness_scan_rejects_bad_tolerance():
 
 
 def test_embeddedness_slices_match_all_pairs_oracle():
-    # unpruned: every pair of copies (or of rays), every pair of segments
+    # unpruned, every pair of segments over the polyline pairs the scan
+    # covers: copy 0 against each other copy (rotation carries copy a to
+    # a+k), and every pair of distinct rays
     for h in (0.1, -1.0, 0.0):
         rec = an.embeddedness_scan(5, [h], samples=256).records[0]
         xy = [c.points[:, 1:3] for c in an.level_curve(5, h, 256)]
+        pairs = ([(p, q) for k, p in enumerate(xy) for q in xy[k + 1:]] if h == 0.0
+                 else [(xy[0], q) for q in xy[1:]])
         d = np.concatenate([
             geo.segment_pair_distance(p[:-1, None], p[1:, None], q[None, :-1], q[None, 1:]).ravel()
-            for k, p in enumerate(xy) for q in xy[k + 1:]
+            for p, q in pairs
         ])
         assert rec.cross_intersections == int(np.count_nonzero(d < an.SCAN_TOLERANCE))
         assert rec.min_cross_distance == float(d.min())

@@ -237,7 +237,8 @@ def test_block_pruning_equivalence():
         for other in (pts[::-1] + 0.05, pts + [3.0, 0.0], np.flip(pts, axis=1)):
             check_pair_scans(pts, other, (1e-9, 2e-2))
         check_self_scan(pts, (1e-9, 2e-2))
-        assert geo.polyline_self_intersections(pts, 2e-2)
+        for tol in (1e-9, 2e-2):
+            assert geo.polyline_self_intersections(pts, tol)
     # trees of unequal depth: 599 segments against 197 and against 1 to 4
     rng = np.random.default_rng(504)
     shorts = [rng.normal(scale=0.5, size=(k, 2)) for k in (2, 3, 5)]
