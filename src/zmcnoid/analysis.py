@@ -572,6 +572,9 @@ def embeddedness_scan(
     if n < 3:
         raise ValueError("embeddedness scan needs n >= 3")
     tol = check_tolerance(tol)
+    heights = list(heights)
+    if not heights:
+        raise ValueError("embeddedness scan needs at least one height")
     records = []
     for h in heights:
         if h == 0.0:

@@ -9,6 +9,7 @@ assembled in index order regardless of scheduling.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import level_curve
@@ -39,8 +40,9 @@ def _parse_tol(text: str) -> tuple[str, float]:
         value = float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance value {raw!r} is not a number")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance for {name} must be finite and > 0, got {value}")
     return name, value
 
 

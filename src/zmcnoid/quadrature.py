@@ -2,9 +2,10 @@
 
 A 7-point Gauss rule embedded in a 15-point Kronrod extension gives a cheap
 error estimate per interval; intervals whose estimate exceeds their share of
-the tolerance are split recursively.  Integrands are vector valued (the three
-components of the holomorphic lift) and complex; the error is controlled
-componentwise in absolute terms.
+the tolerance are halved.  Refinement is level-synchronous: one Gauss-Kronrod
+evaluation covers every open interval of every segment at a level.
+Integrands are vector valued (the three components of the holomorphic lift)
+and complex; the error is controlled componentwise in absolute terms.
 
 Node and weight tables are the standard 15-digit values; the test suite pins
 them by checking polynomial exactness (degree 22 for the Kronrod rule, 13 for
@@ -42,70 +43,132 @@ GAUSS_WEIGHTS = np.array([
 ])
 
 
+# open intervals of one segment that one pass may halve; the lift oracle's
+# segments hold fewer, so each of their passes refines a whole level
+REFINE_WIDTH = 64
+
+
 class QuadratureError(RuntimeError):
-    """Raised when the requested tolerance is not met within the depth cap."""
+    """The tolerance was not met within the depth cap.
 
-
-def _gk_estimate(func, a: complex, b: complex):
-    """One Gauss-Kronrod application on the segment [a, b] of the complex plane.
-
-    Returns (kronrod_value, error_estimate) where the value approximates the
-    contour integral of ``func`` along the straight segment.
+    The segment (a, b), the interval (lo, hi) of it that still failed at
+    depth max_depth, abs_tol and max_depth are attributes and in the message.
     """
+
+    def __init__(self, segment, interval, abs_tol, max_depth):
+        self.segment, self.interval = segment, interval
+        self.abs_tol, self.max_depth = abs_tol, max_depth
+        super().__init__(
+            f"tolerance {abs_tol:g} not reached at depth {max_depth} on interval "
+            f"[{interval[0]}, {interval[1]}] of segment [{segment[0]}, {segment[1]}]"
+        )
+
+
+def _gk_estimate(func, a, b):
+    """One Gauss-Kronrod application on each segment [a, b] of the complex plane.
+
+    a and b are scalars or 1-D arrays of k segments, so ``func`` sees points
+    of shape (15,) or (k, 15).  Returns (kronrod_value, error_estimate), of
+    shape (...) or (..., k), where the value approximates the contour
+    integral of ``func`` along the straight segment.
+    """
+    a, b = np.asarray(a), np.asarray(b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    z = mid + half * KRONROD_NODES
-    vals = func(z)  # shape (..., 15)
+    z = mid[..., None] + half[..., None] * KRONROD_NODES
+    vals = func(z)  # shape (..., 15) or (..., k, 15)
     kron = (vals * KRONROD_WEIGHTS).sum(axis=-1) * half
     gauss = (vals[..., 1::2] * GAUSS_WEIGHTS).sum(axis=-1) * half
     err = np.abs(kron - gauss)
     return kron, err
 
 
+def _length(d):
+    # hypot, as Python's abs of a complex; np.abs rounds differently
+    return np.hypot(d.real, d.imag)
+
+
 def integrate_segment(
     func: Callable[[np.ndarray], np.ndarray],
-    a: complex,
-    b: complex,
+    a,
+    b,
     abs_tol: float = 1e-11,
     max_depth: int = 40,
 ):
-    """Adaptively integrate ``func`` along the straight segment a -> b.
+    """Adaptively integrate ``func`` along the straight segments a -> b.
+
+    All segments are refined together, one level per pass: every open
+    interval of a pass goes through one Gauss-Kronrod evaluation.  An
+    interval is accepted when its error estimate is at most abs_tol (at the
+    root) or its share abs_tol |hi - lo| / |b - a| of the tolerance;
+    otherwise it is halved.  A segment halves at most its rightmost
+    REFINE_WIDTH open intervals per pass, the ones a depth-first stack would
+    take first, so one that cannot converge reaches max_depth within a few
+    passes instead of doubling its open intervals at every level.  Each
+    segment's accepted intervals are summed right to left, from zero.
 
     Args:
-        func: maps an ndarray of complex points to values of shape (..., npts);
-            trailing axis must correspond to the input points.
-        a, b: segment endpoints.
+        func: maps an ndarray of complex points to values of shape
+            (...,) + points.shape; trailing axes must correspond to the
+            input points.
+        a, b: segment endpoints, scalars or 1-D arrays that broadcast.
         abs_tol: absolute tolerance per component (real and imaginary parts
             are controlled together through the complex modulus).
-        max_depth: recursion cap; exceeding it raises QuadratureError.
+        max_depth: refinement cap; exceeding it raises QuadratureError.
 
     Returns:
-        ndarray of the leading shape of ``func``'s output (complex).
+        ndarray of the leading shape of ``func``'s output (complex), with a
+        trailing segment axis when a or b is an array.
     """
-    total, err = _gk_estimate(func, a, b)
-    if np.max(err) <= abs_tol:
-        return total
-    stack = [(a, b, total, err, 0)]
-    acc = np.zeros_like(total)
-    while stack:
-        lo, hi, est, est_err, depth = stack.pop()
-        # Each interval may spend the share of the tolerance proportional to
-        # its length; |hi - lo| / |b - a| of the budget.
-        share = abs_tol * abs(hi - lo) / abs(b - a)
-        if np.max(est_err) <= share:
-            acc = acc + est
-            continue
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"tolerance {abs_tol:g} not reached at depth {max_depth} "
-                f"on segment [{lo}, {hi}]"
-            )
-        mid = 0.5 * (lo + hi)
-        left, lerr = _gk_estimate(func, lo, mid)
-        right, rerr = _gk_estimate(func, mid, hi)
-        stack.append((lo, mid, left, lerr, depth + 1))
-        stack.append((mid, hi, right, rerr, depth + 1))
-    return acc
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    scalar = a.ndim == 0
+    a, b = a.ravel(), b.ravel()
+    length = _length(b - a)
+    # every segment's intervals, accepted and open, in order along it
+    seg = np.arange(a.size)
+    lo, hi = a, b
+    depth = np.zeros(a.size, dtype=int)
+    est, err = _gk_estimate(func, lo, hi)
+    worst = err.max(axis=tuple(range(err.ndim - 1)))
+    is_open = ~(worst <= abs_tol)
+    fresh = is_open.copy()
+    while True:
+        f = np.flatnonzero(fresh)
+        share = abs_tol * _length(hi[f] - lo[f]) / length[seg[f]]
+        is_open[f] = ~(worst[f] <= share)
+        failed = f[is_open[f] & (depth[f] >= max_depth)]
+        if failed.size:
+            k = failed[seg[failed] == seg[failed[0]]][-1]
+            raise QuadratureError((a[seg[k]].item(), b[seg[k]].item()),
+                                  (lo[k].item(), hi[k].item()), abs_tol, max_depth)
+        if not is_open.any():
+            break
+        last = np.cumsum(np.bincount(seg, minlength=a.size))[seg] - 1
+        count = np.cumsum(is_open)
+        split = is_open & (count[last] - count < REFINE_WIDTH)
+        # each split interval becomes its left and right half, in place
+        counts = 1 + split
+        parent = np.repeat(np.arange(seg.size), counts)
+        left = (np.cumsum(counts) - counts)[split]
+        mid = 0.5 * (lo[split] + hi[split])
+        seg, lo, hi, depth = seg[parent], lo[parent], hi[parent], depth[parent]
+        est, worst, is_open = est[..., parent], worst[parent], is_open[parent]
+        hi[left] = mid
+        lo[left + 1] = mid
+        fresh = np.zeros(seg.size, dtype=bool)
+        fresh[left] = fresh[left + 1] = True
+        depth[fresh] += 1
+        est[..., fresh], err = _gk_estimate(func, lo[fresh], hi[fresh])
+        worst[fresh] = err.max(axis=tuple(range(err.ndim - 1)))
+    # column j holds every segment's (j+1)-th interval from its right end
+    per_seg = np.bincount(seg, minlength=a.size)
+    from_right = np.cumsum(per_seg)[seg] - 1 - np.arange(seg.size)
+    columns = np.zeros(est.shape[:-1] + (a.size, per_seg.max()), dtype=est.dtype)
+    columns[..., seg, from_right] = est
+    acc = np.zeros(est.shape[:-1] + (a.size,), dtype=est.dtype)
+    for j in range(columns.shape[-1]):
+        acc = acc + columns[..., j]
+    return acc[..., 0] if scalar else acc
 
 
 def integrate_polyline(
@@ -114,16 +177,28 @@ def integrate_polyline(
     abs_tol: float = 1e-11,
     max_depth: int = 40,
 ):
-    """Integrate along the polyline through ``vertices`` (complex sequence)."""
-    vertices = [complex(v) for v in vertices]
-    if len(vertices) < 2:
+    """Integrate along the polyline through ``vertices`` (complex sequence).
+
+    A vertex may be a 1-D array: the vertices then broadcast to a batch of
+    polylines, all integrated in one ``integrate_segment`` pass, and the
+    result gains a trailing batch axis.  Repeated vertices are skipped.
+    """
+    verts = [np.asarray(v, dtype=complex) for v in vertices]
+    if len(verts) < 2:
         raise ValueError("polyline needs at least two vertices")
-    total = None
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        if a == b:
-            continue
-        part = integrate_segment(func, a, b, abs_tol=abs_tol, max_depth=max_depth)
-        total = part if total is None else total + part
-    if total is None:
-        raise ValueError("polyline has zero length")
-    return total
+    verts = np.stack(np.broadcast_arrays(*verts))
+    scalar = verts.ndim == 1
+    verts = verts.reshape(len(verts), -1)
+    a, b = verts[:-1], verts[1:]
+    live = a != b
+    empty = np.flatnonzero(~live.any(axis=0))
+    if empty.size:
+        raise ValueError(f"polyline {empty[0]} has zero length")
+    parts = integrate_segment(func, a[live], b[live], abs_tol=abs_tol,
+                              max_depth=max_depth)
+    full = np.zeros(parts.shape[:-1] + live.shape, dtype=parts.dtype)
+    full[..., live] = parts
+    total = full[..., 0, :]
+    for j in range(1, len(a)):
+        total = total + full[..., j, :]
+    return total[..., 0] if scalar else total

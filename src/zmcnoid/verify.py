@@ -280,26 +280,16 @@ def _check_lift_agreement(rng, ns):
     records = []
     for n in _restrict(SURFACE_NS, ns):
         data = JorgeMeeksData(n)
-        punctures = [complex(p) for p in data.punctures]
-        worst = 0.0
-        have = 0
-        while have < 100:
-            for z in _sample_z(rng, n, 100):
-                if have >= 100:
-                    break
-                # the quadrature oracle integrates along the segment [0, z]
-                clearance = min(
-                    _segment_puncture_distance(0j, complex(z), p) for p in punctures
-                )
-                if clearance <= 0.06:
-                    continue
-                closed = lift_closed_form(data, z)
-                numeric = integrate_lift_numeric(data, z)
-                worst = max(
-                    worst,
-                    max(abs(c.real - q.real) for c, q in zip(closed, numeric)),
-                )
-                have += 1
+        zs = []
+        while len(zs) < 100:
+            z = _sample_z(rng, n, 100)
+            # the quadrature oracle integrates along the segment [0, z]
+            clearance = _segment_puncture_distance(0j, z[:, None], data.punctures)
+            zs.extend(z[clearance.min(axis=1) > 0.06])
+        zs = np.array(zs[:100])
+        numeric = np.array(integrate_lift_numeric(data, zs))
+        closed = np.array([lift_closed_form(data, z) for z in zs]).T
+        worst = np.max(np.abs(closed.real - numeric.real))
         records.append(
             _record("weierstrass.lift_agreement", n, {"samples": 100}, worst, 1e-8)
         )
@@ -651,7 +641,8 @@ def check_arguments(ids=None, ns=None, tol_overrides=None, seed=0) -> None:
 
     Raises KeyError for an unknown check id or tolerance name, and ValueError
     for an order outside SURFACE_NS, a tolerance given to a check in
-    NON_OVERRIDABLE, or a negative seed (PCG64 takes none).
+    NON_OVERRIDABLE, a tolerance that is not finite and > 0, or a negative
+    seed (PCG64 takes none).
     """
     unknown = set(ids or ()) - set(registry_ids())
     if unknown:
@@ -665,6 +656,9 @@ def check_arguments(ids=None, ns=None, tol_overrides=None, seed=0) -> None:
         raise ValueError(
             f"checks {sorted(fixed)} certify a sign condition and take no tolerance"
         )
+    for name, value in (tol_overrides or {}).items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"tolerance for {name} must be finite and > 0, got {value!r}")
     if set(ns or ()) - set(SURFACE_NS):
         raise ValueError(f"orders {ns} must lie in {SURFACE_NS[0]}..{SURFACE_NS[-1]}")
     if seed < 0:

@@ -20,6 +20,7 @@ punctures are purely imaginary, so the real part is single valued.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +35,16 @@ PATH_CLEARANCE = 0.05
 
 
 class PunctureError(ValueError):
-    """Evaluation requested too close to a puncture z = zeta^j."""
+    """Evaluation requested too close to a puncture z = zeta^j.
+
+    n, the first offending z and the guard (PUNCTURE_GUARD on |z^n - 1|, or
+    POLAR_GUARD on |z^n - 1|^2) are attributes and in the message.
+    """
+
+    def __init__(self, n, z, guard, quantity="|z^n - 1|"):
+        self.n, self.z, self.guard = n, z, guard
+        super().__init__(f"n={n}: z = {z!r} has {quantity} <= {guard:g}: "
+                         "too close to a puncture, where alpha has a double pole")
 
 
 class PathError(ValueError):
@@ -98,11 +108,10 @@ class JorgeMeeksData:
 
 
 def _check_punctures(data: JorgeMeeksData, z) -> None:
-    zn = np.asarray(z, dtype=complex) ** data.n - 1.0
-    if np.any(np.abs(zn) <= PUNCTURE_GUARD):
-        raise PunctureError(
-            f"|z^{data.n} - 1| <= {PUNCTURE_GUARD:g}; alpha has a double pole there"
-        )
+    za = np.asarray(z, dtype=complex)
+    bad = np.flatnonzero(np.abs(za ** data.n - 1.0) <= PUNCTURE_GUARD)
+    if bad.size:
+        raise PunctureError(data.n, complex(za.flat[bad[0]]), PUNCTURE_GUARD)
 
 
 def alpha(data: JorgeMeeksData, z):
@@ -132,31 +141,31 @@ def lift_closed_form(data: JorgeMeeksData, z) -> HolomorphicLift:
     n = data.n
     zc = complex(z)
     zn = zc ** n - 1.0
-    logs = [np.log(complex(zc - p)) for p in data.punctures]
+    p = data.punctures
+    logs = [np.log(complex(zc - q)) for q in p]
     c = (n - 1) / n ** 2
 
     X0 = 2j / (n * zn)
-    s1 = sum(
-        (data.punctures[j] - data.punctures[j].conjugate()) * logs[j]
-        for j in range(1, n)
-    )
+    s1 = sum((p[j] - p[j].conjugate()) * logs[j] for j in range(1, n))
     X1 = -1j * (zc * (zc ** (n - 2) + 1.0) / (n * zn) + c * s1)
-    s2 = sum(
-        (data.punctures[j] + data.punctures[j].conjugate()) * logs[j]
-        for j in range(n)
-    )
+    s2 = sum((p[j] + p[j].conjugate()) * logs[j] for j in range(n))
     X2 = -zc * (zc ** (n - 2) - 1.0) / (n * zn) + c * s2
     return HolomorphicLift(complex(X0), complex(X1), complex(X2))
 
 
-def _segment_puncture_distance(a: complex, b: complex, p: complex) -> float:
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return abs(p - a)
-    s = ((p - a) * d.conjugate()).real / L2
-    s = min(1.0, max(0.0, s))
-    return abs(p - (a + s * d))
+def _segment_puncture_distance(a, b, p):
+    """Distance from p to the segment [a, b]; arrays broadcast.
+
+    Real arithmetic with libm hypot and pow, so every value equals the one
+    Python's scalar complex arithmetic gives for the same formula.
+    """
+    a, b, p = (np.asarray(x, dtype=complex) for x in (a, b, p))
+    dr, di = (b - a).real, (b - a).imag
+    L2 = np.float_power(np.hypot(dr, di), 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = ((p - a).real * dr + (p - a).imag * di) / L2
+    s = np.where(L2 == 0.0, 0.0, np.clip(s, 0.0, 1.0))
+    return np.hypot(p.real - (a.real + s * dr), p.imag - (a.imag + s * di))
 
 
 def integrate_lift_numeric(
@@ -170,23 +179,32 @@ def integrate_lift_numeric(
 
     The polyline must keep distance > PATH_CLEARANCE from every puncture;
     real parts are path independent, imaginary parts depend on the homotopy
-    class of the chosen polyline.
+    class of the chosen polyline.  A 1-D array z integrates every point
+    along its own polyline in one batched pass and gives array fields.
     """
-    vertices = [0j, *map(complex, waypoints), complex(z)]
-    if all(v == vertices[0] for v in vertices):
-        return HolomorphicLift(0j, 0j, 0j)
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        for p in data.punctures:
-            dist = _segment_puncture_distance(a, b, complex(p))
-            if dist <= PATH_CLEARANCE:
-                raise PathError(
-                    f"integration segment [{a}, {b}] passes within "
-                    f"{dist:.3g} of puncture {p:.6g}"
-                )
-    val = integrate_polyline(
-        lambda w: alpha(data, w), vertices, abs_tol=abs_tol, max_depth=max_depth
-    )
-    return HolomorphicLift(complex(val[0]), complex(val[1]), complex(val[2]))
+    zs = np.asarray(z, dtype=complex)
+    vertices = np.stack(np.broadcast_arrays(0j, *waypoints, zs))
+    vertices = vertices.reshape(len(vertices), -1)
+    moving = (vertices != vertices[0]).any(axis=0)
+    path = vertices[:, moving]
+    dist = _segment_puncture_distance(
+        path[:-1, :, None], path[1:, :, None], data.punctures)
+    # the first point, then its first segment and puncture, that comes too close
+    hits = np.argwhere(dist.transpose(1, 0, 2) <= PATH_CLEARANCE)
+    if hits.size:
+        k, j, i = hits[0]
+        raise PathError(
+            f"integration segment [{complex(path[j, k])}, {complex(path[j + 1, k])}] "
+            f"passes within {dist[j, k, i]:.3g} of puncture {data.punctures[i]:.6g}"
+        )
+    val = np.zeros((3, moving.size), dtype=complex)
+    if moving.any():
+        val[:, moving] = integrate_polyline(
+            lambda w: alpha(data, w), path, abs_tol=abs_tol, max_depth=max_depth
+        )
+    if zs.ndim == 0:
+        return HolomorphicLift(*(complex(v) for v in val[:, 0]))
+    return HolomorphicLift(val[0], val[1], val[2])
 
 
 def loop_integral(
@@ -256,10 +274,11 @@ def f_polar(data: JorgeMeeksData, r, theta):
     scalar = ra.ndim == 0 and ta.ndim == 0
     rn = ra ** n
     den = ra ** (2 * n) - 2.0 * rn * np.cos(n * ta) + 1.0
-    if np.any(den <= POLAR_GUARD):
-        raise PunctureError(
-            f"r^(2n) - 2 r^n cos(n theta) + 1 <= {POLAR_GUARD:g}: too close to a puncture"
-        )
+    bad = np.flatnonzero(den <= POLAR_GUARD)
+    if bad.size:
+        rb, tb = (np.broadcast_to(x, den.shape).flat[bad[0]] for x in (ra, ta))
+        raise PunctureError(n, cmath.rect(rb, tb), POLAR_GUARD,
+                            "r^(2n) - 2 r^n cos(n theta) + 1 = |z^n - 1|^2")
     D = n * den
     c = (n - 1) / n ** 2
 

@@ -385,6 +385,13 @@ def test_embeddedness_scan_rejects_bad_tolerance():
             an.embeddedness_scan(3, [0.1], tol=tol)
 
 
+def test_embeddedness_scan_rejects_empty_heights():
+    # no slice scanned is no evidence; a vacuous pass would be a false certificate
+    for heights in ([], (), iter([])):
+        with pytest.raises(ValueError, match="at least one height"):
+            an.embeddedness_scan(3, heights)
+
+
 def test_embeddedness_slices_match_all_pairs_oracle():
     # unpruned, every pair of segments over the polyline pairs the scan
     # covers: copy 0 against each other copy (rotation carries copy a to

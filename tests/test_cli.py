@@ -175,6 +175,17 @@ def test_verify_rejects_negative_seed(capsys):
     assert err.rstrip("\n").splitlines()[-1].startswith("zmcnoid: error: verify: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_tolerance(capsys, value):
+    argv = ["verify", "--n", "2", "--tol", f"weierstrass.lift_agreement={value}"]
+    assert run_expect_usage_error(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.rstrip("\n").splitlines()[-1]
+    assert last.startswith("zmcnoid verify: error: argument --tol: ")
+    assert "weierstrass.lift_agreement" in last and value.lstrip("-") in last
+
+
 def test_levels_guard_error_names_the_point(capsys, tmp_path):
     out = tmp_path / "x.csv"
     assert run_expect_usage_error(["levels", "--n", "3", "--h", "1e8", "--out", str(out)]) == 2

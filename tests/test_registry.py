@@ -80,6 +80,13 @@ def test_sign_check_tolerance_rejected():
                           tol_overrides={"chebyshev.positivity": 1e-3})
 
 
+def test_non_finite_or_non_positive_tolerance_rejected():
+    for value in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match=f"weierstrass.lift_agreement .*got {value!r}"):
+            verify.run_checks(ids=["weierstrass.lift_agreement"], ns=[2],
+                              tol_overrides={"weierstrass.lift_agreement": value})
+
+
 def test_tolerance_override_applies():
     base = verify.run_checks(ids=["weierstrass.null_form"], seed=0)
     tight = verify.run_checks(ids=["weierstrass.null_form"], seed=0,

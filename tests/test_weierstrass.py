@@ -150,6 +150,18 @@ def test_quadrature_rejects_path_through_puncture():
         ws.integrate_lift_numeric(data, 0.5 + 0.5j, waypoints=[1.0 + 0.04j])
 
 
+def test_batched_lift_matches_pointwise_and_checks_every_path():
+    data = ws.JorgeMeeksData(4)
+    z = np.array([0.3 + 0.2j, 0j, -0.4 + 0.1j])
+    batch = ws.integrate_lift_numeric(data, z, waypoints=[0.1j])
+    for k, zk in enumerate(z):
+        single = ws.integrate_lift_numeric(data, zk, waypoints=[0.1j])
+        assert [f[k] for f in batch] == list(single)
+    assert ws.integrate_lift_numeric(data, np.array([0j])).X1.tolist() == [0j]
+    with pytest.raises(ws.PathError, match=r"\[0\.1j, \(1\.1\+0\.04j\)\]"):
+        ws.integrate_lift_numeric(data, np.array([0.5 + 0j, 1.1 + 0.04j]), waypoints=[0.1j])
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------
@@ -238,6 +250,20 @@ def test_polar_symmetries():
 def test_polar_puncture_guard():
     with pytest.raises(ws.PunctureError):
         ws.f_polar(ws.JorgeMeeksData(3), 1.0, 0.0)
+
+
+def test_puncture_errors_name_the_point_and_guard():
+    data = ws.JorgeMeeksData(3)
+    z = np.array([0.5 + 0j, data.zeta * (1 + 1e-14), 1.0 + 0j])
+    with pytest.raises(ws.PunctureError) as err:
+        ws.alpha(data, z)
+    assert (err.value.n, err.value.z, err.value.guard) == (3, complex(z[1]), ws.PUNCTURE_GUARD)
+    assert "n=3" in str(err.value) and repr(complex(z[1])) in str(err.value)
+    with pytest.raises(ws.PunctureError) as err:
+        ws.f_polar(data, np.array([0.5, 1.0]), np.array([0.0, 2 * math.pi / 3]))
+    assert (err.value.n, err.value.guard) == (3, ws.POLAR_GUARD)
+    assert abs(err.value.z - data.zeta) < 1e-15
+    assert repr(err.value.z) in str(err.value)
 
 
 def test_polar_scalar_returns_named_tuple():
