@@ -163,7 +163,7 @@ def integrate_segment(
     # column j holds every segment's (j+1)-th interval from its right end
     per_seg = np.bincount(seg, minlength=a.size)
     from_right = np.cumsum(per_seg)[seg] - 1 - np.arange(seg.size)
-    columns = np.zeros(est.shape[:-1] + (a.size, per_seg.max()), dtype=est.dtype)
+    columns = np.zeros(est.shape[:-1] + (a.size, per_seg.max(initial=0)), dtype=est.dtype)
     columns[..., seg, from_right] = est
     acc = np.zeros(est.shape[:-1] + (a.size,), dtype=est.dtype)
     for j in range(columns.shape[-1]):

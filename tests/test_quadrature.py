@@ -188,6 +188,7 @@ def test_batched_near_pole_equals_stack_oracle():
     assert np.array_equal(got, np.array([value for value, _ in results]).T)
     single = qd.integrate_segment(near_pole, a[0], b[0], abs_tol=1e-11)
     assert single.shape == (3,) and np.array_equal(single, results[0][0])
+    assert qd.integrate_segment(near_pole, a[:0], b[:0]).shape == (3, 0)
 
 
 def test_root_accepts_at_abs_tol_when_its_share_rounds_below():
