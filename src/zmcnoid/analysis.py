@@ -8,14 +8,14 @@ finite-difference zero-mean-curvature residual.
 
 Everything here consumes the domain check and the surface evaluator from
 ``extension`` and the Chebyshev kernels and factored denominator from
-``chebyshev``; reports are plain frozen dataclasses with ``as_dict`` for
-serialization.
+``chebyshev``; reports are plain frozen dataclasses, and
+``EmbeddednessReport.as_dict`` serializes a scan with its height records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,16 +125,6 @@ class ImmersionReport:
     min_certified_bound: float
     min_observed: float
     passed: bool
-
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "u_count": self.u_count,
-            "theta_count": self.theta_count,
-            "min_certified_bound": self.min_certified_bound,
-            "min_observed": self.min_observed,
-            "passed": self.passed,
-        }
 
 
 def immersion_certificate(n: int, grid_spec: GridSpec) -> ImmersionReport:
@@ -294,22 +284,6 @@ class MonotonicityReport:
     derivative_max_error_x2: float
     passed: bool
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "h": self.h,
-            "grid_size": self.grid_size,
-            "x1_strictly_decreasing": self.x1_strictly_decreasing,
-            "x1_below_minus_h": self.x1_below_minus_h,
-            "x2_unimodal": self.x2_unimodal,
-            "x2_argmax_theta": self.x2_argmax_theta,
-            "x2_argmax_expected": self.x2_argmax_expected,
-            "x2_argmax_cell_offset": self.x2_argmax_cell_offset,
-            "derivative_max_error_x1": self.derivative_max_error_x1,
-            "derivative_max_error_x2": self.derivative_max_error_x2,
-            "passed": self.passed,
-        }
-
 
 def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> MonotonicityReport:
     """Monotone x1 / unimodal x2 structure of the fundamental arc.
@@ -393,19 +367,6 @@ class RegionReport:
     upsilon_min: float
     passed: bool
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "h": self.h,
-            "theta0": self.theta0,
-            "arc_inside": self.arc_inside,
-            "phi_min": self.phi_min,
-            "phi_argmin_cell_offset": self.phi_argmin_cell_offset,
-            "phi_at_theta0": self.phi_at_theta0,
-            "upsilon_min": self.upsilon_min,
-            "passed": self.passed,
-        }
-
 
 def region_Dh_certificate(
     n: int, h: float, arc_samples: int = 2000, u_cap: float = 1e3
@@ -466,18 +427,6 @@ class HeightScan:
     ray_speed_positive: bool | None
     passed: bool
 
-    def as_dict(self):
-        return {
-            "h": self.h,
-            "self_intersections": self.self_intersections,
-            "cross_intersections": self.cross_intersections,
-            "min_cross_distance": self.min_cross_distance,
-            "sector_disjoint": self.sector_disjoint,
-            "rays_collinear": self.rays_collinear,
-            "ray_speed_positive": self.ray_speed_positive,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class EmbeddednessReport:
@@ -488,13 +437,7 @@ class EmbeddednessReport:
     passed: bool
 
     def as_dict(self):
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "records": [r.as_dict() for r in self.records],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _in_sector(x, y, h, n):
@@ -605,20 +548,6 @@ class PropernessReport:
     log_slope: float | None
     log_slope_expected: float | None
     passed: bool
-
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "theta_target": self.theta_target,
-            "case": self.case,
-            "coordinate": self.coordinate,
-            "min_value": self.min_value,
-            "crossed_threshold": self.crossed_threshold,
-            "monotone_tail": self.monotone_tail,
-            "log_slope": self.log_slope,
-            "log_slope_expected": self.log_slope_expected,
-            "passed": self.passed,
-        }
 
 
 def properness_probe(n: int, theta_target: float, approach_samples: int) -> PropernessReport:

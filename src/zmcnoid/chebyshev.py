@@ -44,29 +44,26 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds supported cap {MAX_DEGREE}")
 
 
-def eval_T(n: int, x):
-    """Evaluate T_n(x) by the three-term recurrence.
+def _recurrence(n: int, x, first: float):
+    """P_n(x) for P_0 = 1, P_1 = first * x and P_{k+1} = 2 x P_k - P_{k-1}.
 
-    Args:
-        n: polynomial degree, 0 <= n <= MAX_DEGREE.
-        x: scalar or ndarray of evaluation points.
-
-    Returns:
-        float for scalar input, ndarray otherwise.
+    Returns float for scalar input, ndarray otherwise.
     """
     _check_degree(n)
     xa = np.asarray(x, dtype=float)
-    if n == 0:
-        out = np.ones_like(xa)
-    elif n == 1:
-        out = xa.copy()
-    else:
-        prev = np.ones_like(xa)
-        cur = xa.copy()
-        for _ in range(n - 1):
-            prev, cur = cur, 2.0 * xa * cur - prev
-        out = cur
+    prev, cur = np.ones_like(xa), first * xa
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * xa * cur - prev
+    out = cur if n else prev
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+
+
+def eval_T(n: int, x):
+    """Evaluate T_n(x), 0 <= n <= MAX_DEGREE, by the three-term recurrence.
+
+    Returns float for scalar input, ndarray otherwise.
+    """
+    return _recurrence(n, x, 1.0)
 
 
 def eval_U(n: int, x):
@@ -75,20 +72,8 @@ def eval_U(n: int, x):
     U_{-1} = 0 is accepted so callers can treat degree offsets uniformly.
     """
     if n == -1:
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros_like(xa)
-        return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-    _check_degree(n)
-    xa = np.asarray(x, dtype=float)
-    if n == 0:
-        out = np.ones_like(xa)
-    else:
-        prev = np.ones_like(xa)
-        cur = 2.0 * xa
-        for _ in range(n - 1):
-            prev, cur = cur, 2.0 * xa * cur - prev
-        out = cur
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+        return 0.0 * _recurrence(0, x, 2.0)
+    return _recurrence(n, x, 2.0)
 
 
 def eval_T_derivative(n: int, x):

@@ -77,8 +77,7 @@ class CausalType(IntEnum):
 
 def omega_lower_bound(n: int, theta):
     """max_j cos(theta - 2 pi j / n): the lower edge of Omega_n over theta."""
-    ta = np.asarray(theta, dtype=float)
-    out = np.max(np.stack([np.cos(ta - 2.0 * math.pi * j / n) for j in range(n)]), axis=0)
+    out = -log_factors(n, 0.0, theta).min(axis=0)
     return float(out) if out.ndim == 0 else out
 
 

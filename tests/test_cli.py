@@ -1,6 +1,8 @@
 """Exit codes, artifact emission, and byte determinism of the CLI."""
 
 import csv
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -130,6 +132,21 @@ def test_verify_stdout_byte_identical(capsys):
     run_cli(["verify", "--n", "4", "--seed", "42"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_seed42_stdout_digest(capsys):
+    # any change to the draws or their order moves these bytes
+    assert run_cli(["verify", "--seed", "42"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "1a9a1729c9ac6aacf2325fde2c524c1a82ea4fefa251a7feaaa82b10af19aa45"
+
+
+def test_verify_n_restricts_surface_checks(capsys):
+    run_cli(["verify", "--n", "3", "--seed", "42"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["n"] for c in checks if not c["name"].startswith("chebyshev.")} == {3}
+    run_cli(["verify", "--n", "2", "--seed", "42"])
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 62
 
 
 def test_verify_timings_go_to_stderr(capsys):

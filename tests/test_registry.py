@@ -128,8 +128,21 @@ def test_ns_restriction():
     # n = 7 is outside the mean-curvature range, so that check emits nothing
     seven = verify.run_checks(ids=["analysis.zero_mean_curvature"], ns=[7])
     assert seven.checks == ()
+    # every check but the four over polynomial degrees follows ns, the
+    # fixed-order graph_identity_n2 included
+    three = verify.run_checks(ns=[3])
+    assert {c.n for c in three.checks if not c.name.startswith("chebyshev.")} == {3}
     with pytest.raises(ValueError):
         verify.run_checks(ids=["analysis.jacobian_sum_identity"], ns=[20])
+
+
+@pytest.mark.parametrize("k", [1, 5, 14, 15, 19])
+def test_registry_prefix_reproduces_full_run(k):
+    # draws follow registry order, then order by order, so running only the
+    # first k checks reproduces the full run's first records exactly
+    full = verify.run_checks(seed=11).checks
+    prefix = verify.run_checks(ids=verify.registry_ids()[:k], seed=11).checks
+    assert prefix and prefix == full[:len(prefix)]
 
 
 def test_full_default_run_passes():
