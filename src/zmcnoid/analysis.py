@@ -38,6 +38,8 @@ LOG_GAP_START = math.log(0.5)
 CORNER_LOG_GAP_FLOOR = math.log(1.05e-12)
 INTERIOR_LOG_GAP_FLOOR = -2.0e5
 SCAN_TOLERANCE = 1e-9
+# mean_curvature_residual rejects points where |EG - F^2| is at most this
+FOLD_DET_GUARD = 1e-6
 
 # lower-bound margins for the zero-mean-curvature verification grid, per n:
 # the residual of the finite-difference stencil blows up approaching the
@@ -46,7 +48,16 @@ ZMC_BASE_MARGIN = {2: 0.22, 3: 0.18, 4: 0.16, 5: 0.12, 6: 0.075}
 
 
 class FoldProximityError(ValueError):
-    """Induced metric too close to degenerate for curvature differencing."""
+    """Induced metric too close to degenerate for curvature differencing.
+
+    n, the first point (u, theta) with |EG - F^2| <= guard and the guard are
+    attributes and in the message.
+    """
+
+    def __init__(self, n, u, theta, guard):
+        self.n, self.u, self.theta, self.guard = n, u, theta, guard
+        super().__init__(f"n={n}: (u, theta) = ({u!r}, {theta!r}) has an induced "
+                         f"metric with |EG - F^2| <= {guard:g}; move off the fold")
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +671,8 @@ def mean_curvature_residual(n: int, u, theta, step: float = 1e-3):
     First and second fundamental forms come from a 3x3 stencil of the
     surface; the normal is the unnormalized Lorentz cross product of the
     first derivatives, which keeps the residual finite near the fold
-    without dividing by a vanishing norm.  Points where |EG - F^2| <= 1e-6
-    are rejected as fold-proximate.
+    without dividing by a vanishing norm.  Points where |EG - F^2| <=
+    FOLD_DET_GUARD are rejected as fold-proximate.
     """
     ua, ta, _ = domain_factors(n, u, theta)
     s = float(step)
@@ -678,10 +689,10 @@ def mean_curvature_residual(n: int, u, theta, step: float = 1e-3):
     )
     E, F, G = lorentz_inner(fu, fu), lorentz_inner(fu, ft), lorentz_inner(ft, ft)
     det = E * G - F * F
-    if np.any(np.abs(det) <= 1e-6):
-        raise FoldProximityError(
-            "induced metric within 1e-6 of degenerate; move off the fold"
-        )
+    fold = np.abs(det) <= FOLD_DET_GUARD
+    if fold.any():
+        k = np.flatnonzero(fold)[0]
+        raise FoldProximityError(n, float(ua.flat[k]), float(ta.flat[k]), FOLD_DET_GUARD)
     normal = lorentz_cross(fu, ft)
     e2 = lorentz_inner(normal, fuu)
     f2 = lorentz_inner(normal, fut)

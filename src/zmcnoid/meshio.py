@@ -10,7 +10,6 @@ in common viewers; the evaluator's native order is (t, x, y).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +21,10 @@ from .extension import CausalType, eval_extended_grid, omega_lower_bound
 
 DEGENERATE_FACE_AREA = 1e-14
 CAUSAL_NAMES = ("spacelike", "lightlike", "timelike")
+
+# rows per `%` in the text writers: large enough to amortize the Python
+# call, small enough to keep the formatted block out of the peak memory
+_WRITE_BLOCK = 1 << 14
 
 # native (t, x, y) -> display (x, y, t)
 _DISPLAY_ORDER = (1, 2, 0)
@@ -65,26 +68,30 @@ class SurfaceMesh:
 
 def _split_quads(positions: np.ndarray, nu: int, ntheta: int) -> np.ndarray:
     # quad corners walk u-row i then i+1, with the theta seam closed by
-    # index wraparound
-    i = np.arange(nu - 1)[:, None]
-    j = np.arange(ntheta)[None, :]
-    jn = (j + 1) % ntheta
-    a = (i * ntheta + j).ravel()
-    b = (i * ntheta + jn).ravel()
-    c = ((i + 1) * ntheta + jn).ravel()
-    d = ((i + 1) * ntheta + j).ravel()
+    # np.roll; the corner positions pa..pd serve both the diagonal choice
+    # and the area filter
+    grid = positions.reshape(nu, ntheta, 3)
+    index = np.arange(nu * ntheta).reshape(nu, ntheta)
+    pa, pd = grid[:-1], grid[1:]
+    pb, pc = np.roll(pa, -1, axis=1), np.roll(pd, -1, axis=1)
+    a, d = index[:-1], index[1:]
+    b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
+    corners = ((a, pa), (b, pb), (c, pc), (d, pd))
 
-    diag_ac = np.linalg.norm(positions[a] - positions[c], axis=1)
-    diag_bd = np.linalg.norm(positions[b] - positions[d], axis=1)
-    use_ac = diag_ac <= diag_bd
+    use_ac = np.linalg.norm(pa - pc, axis=2) <= np.linalg.norm(pb - pd, axis=2)
 
-    tri1 = np.where(use_ac[:, None], np.stack([a, b, c], 1), np.stack([b, c, d], 1))
-    tri2 = np.where(use_ac[:, None], np.stack([a, c, d], 1), np.stack([b, d, a], 1))
-    faces = np.concatenate([tri1, tri2], axis=0)
+    def corner(ac, bd):
+        # the triangle corner when the quad is split along ac, else along bd
+        (i_ac, p_ac), (i_bd, p_bd) = corners[ac], corners[bd]
+        return np.where(use_ac, i_ac, i_bd), np.where(use_ac[..., None], p_ac, p_bd)
 
-    e1 = positions[faces[:, 1]] - positions[faces[:, 0]]
-    e2 = positions[faces[:, 2]] - positions[faces[:, 0]]
-    area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    faces, areas = [], []
+    # (a, b, c) and (a, c, d) when split along ac, (b, c, d) and (b, d, a) along bd
+    for slots in (((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 0))):
+        (i0, p0), (i1, p1), (i2, p2) = (corner(*slot) for slot in slots)
+        faces.append(np.stack([i0, i1, i2], axis=2).reshape(-1, 3))
+        areas.append(0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=2).ravel())
+    faces, area = np.concatenate(faces), np.concatenate(areas)
     return np.ascontiguousarray(faces[area > DEGENERATE_FACE_AREA], dtype=np.int32)
 
 
@@ -161,6 +168,19 @@ def tessellate(
 # OBJ
 # ---------------------------------------------------------------------------
 
+def _write_rows(fh, row: str, table: np.ndarray) -> None:
+    """Write each row of a 2-D table through the template row.
+
+    One `%` formats a block of _WRITE_BLOCK rows: the values come from
+    tolist(), so `%r` sees Python floats and `%d` Python ints.
+    """
+    full = row * _WRITE_BLOCK
+    for start in range(0, len(table), _WRITE_BLOCK):
+        block = table[start:start + _WRITE_BLOCK]
+        template = full if len(block) == _WRITE_BLOCK else row * len(block)
+        fh.write(template % tuple(block.ravel().tolist()))
+
+
 def export_obj(mesh: SurfaceMesh, path: str) -> None:
     """ASCII OBJ plus a `<path>.causal.csv` sidecar for the vertex tags.
 
@@ -170,19 +190,17 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
     """
     if not np.isfinite(mesh.positions).all():
         raise ValueError("mesh positions must be finite")
-    lines = []
-    for x, y, t in mesh.positions:
-        lines.append(f"v {float(x)!r} {float(y)!r} {float(t)!r}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        _write_rows(fh, "v %r %r %r\n", mesh.positions.astype(np.float64, copy=False))
+        _write_rows(fh, "f %d %d %d\n", mesh.faces.astype(np.int64) + 1)
+        if mesh.vertex_count == 0 and mesh.face_count == 0:
+            fh.write("\n")
+    sidecar = np.empty((mesh.vertex_count, 2), dtype=object)
+    sidecar[:, 0] = range(1, mesh.vertex_count + 1)
+    sidecar[:, 1] = np.array(CAUSAL_NAMES, dtype=object)[mesh.causal]
     with open(path + ".causal.csv", "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex_index", "causal"])
-        for i, code in enumerate(mesh.causal):
-            writer.writerow([i + 1, CAUSAL_NAMES[code]])
+        fh.write("vertex_index,causal\r\n")
+        _write_rows(fh, "%d,%s\r\n", sidecar)
 
 
 def read_obj(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -281,20 +299,23 @@ def export_level_curves(curves, path: str) -> None:
 
     Columns are (h, copy_index, param, x, y, t); the curve points arrive in
     native (t, x, y) order and are remapped here.  Raises ValueError, before
-    the file is opened, if any value is not finite.
+    the file is opened, if any value is not finite.  The sort is stable and
+    treats -0.0 and 0.0 as equal.
     """
-    rows = []
+    tables = [np.empty((0, 6))]
     for curve in curves:
-        for param, pt in zip(curve.params, curve.points):
-            rows.append(
-                (float(curve.h), int(curve.copy_index), float(param),
-                 float(pt[1]), float(pt[2]), float(pt[0]))
-            )
-    if not all(math.isfinite(v) for r in rows for v in (r[0], *r[2:])):
+        params = np.asarray(curve.params, dtype=np.float64)
+        points = np.asarray(curve.points, dtype=np.float64)
+        rows = np.empty((len(params), 6))
+        rows[:, 0] = float(curve.h)
+        rows[:, 1] = int(curve.copy_index)
+        rows[:, 2] = params
+        rows[:, 3:] = points[:, _DISPLAY_ORDER]
+        tables.append(rows)
+    table = np.concatenate(tables)
+    if not np.isfinite(table[:, [0, 2, 3, 4, 5]]).all():
         raise ValueError("level curve samples must be finite")
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "copy_index", "param", "x", "y", "t"])
-        for h, k, param, x, y, t in rows:
-            writer.writerow([repr(h), k, repr(param), repr(x), repr(y), repr(t)])
+        fh.write("h,copy_index,param,x,y,t\r\n")
+        _write_rows(fh, "%r,%d,%r,%r,%r,%r\r\n", table)

@@ -471,6 +471,15 @@ def test_zmc_residual_spacelike_and_timelike():
 def test_zmc_residual_rejects_fold_proximity():
     with pytest.raises(an.FoldProximityError):
         an.mean_curvature_residual(3, 1.0 + 1e-7, 1.0)
+    # the error names the first fold-proximate point and the guard
+    u = np.array([2.0, 1.0 + 1e-7, 1.0 - 1e-7])
+    theta = np.array([0.4, 1.0, 1.0])
+    with pytest.raises(an.FoldProximityError) as info:
+        an.mean_curvature_residual(3, u, theta)
+    err = info.value
+    assert (err.n, err.u, err.theta, err.guard) == (3, 1.0 + 1e-7, 1.0, 1e-6)
+    assert err.guard == an.FOLD_DET_GUARD
+    assert f"({1.0 + 1e-7!r}, 1.0)" in str(err) and "1e-06" in str(err)
 
 
 def test_zmc_grid_properties():

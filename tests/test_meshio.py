@@ -1,13 +1,20 @@
 """Tessellation and artifact round-trips."""
 
 import csv
+import hashlib
 import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
 from zmcnoid import meshio as mio
+from zmcnoid.analysis import LevelCurve, level_curve
 from zmcnoid.extension import causal_type_grid, omega_lower_bound
+
+GALLERY_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "generate_gallery.py"
 
 
 @pytest.fixture
@@ -156,6 +163,102 @@ def test_obj_byte_determinism(small_mesh, tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+# The per-row writers that the block writers replaced, kept as oracles: the
+# block writers must reproduce their bytes exactly.
+
+def oracle_export_obj(mesh, path):
+    if not np.isfinite(mesh.positions).all():
+        raise ValueError("mesh positions must be finite")
+    lines = []
+    for x, y, t in mesh.positions:
+        lines.append(f"v {float(x)!r} {float(y)!r} {float(t)!r}")
+    for a, b, c in mesh.faces:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+    with open(path + ".causal.csv", "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vertex_index", "causal"])
+        for i, code in enumerate(mesh.causal):
+            writer.writerow([i + 1, mio.CAUSAL_NAMES[code]])
+
+
+def oracle_export_level_curves(curves, path):
+    rows = []
+    for curve in curves:
+        for param, pt in zip(curve.params, curve.points):
+            rows.append(
+                (float(curve.h), int(curve.copy_index), float(param),
+                 float(pt[1]), float(pt[2]), float(pt[0]))
+            )
+    if not all(math.isfinite(v) for r in rows for v in (r[0], *r[2:])):
+        raise ValueError("level curve samples must be finite")
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h", "copy_index", "param", "x", "y", "t"])
+        for h, k, param, x, y, t in rows:
+            writer.writerow([repr(h), k, repr(param), repr(x), repr(y), repr(t)])
+
+
+def assert_obj_matches_oracle(mesh, tmp_path):
+    new, old = str(tmp_path / "new.obj"), str(tmp_path / "old.obj")
+    mio.export_obj(mesh, new)
+    oracle_export_obj(mesh, old)
+    for suffix in ("", ".causal.csv"):
+        assert open(new + suffix, "rb").read() == open(old + suffix, "rb").read(), suffix
+
+
+def assert_levels_match_oracle(curves, tmp_path):
+    new, old = str(tmp_path / "new.csv"), str(tmp_path / "old.csv")
+    mio.export_level_curves(curves, new)
+    oracle_export_level_curves(curves, old)
+    assert open(new, "rb").read() == open(old, "rb").read()
+
+
+def test_obj_matches_per_row_oracle_across_blocks(tmp_path):
+    mesh = mio.tessellate(5, u_max=4.0, eps=0.02, grid=(96, 200))
+    for count in (mesh.vertex_count, mesh.face_count):
+        assert count > mio._WRITE_BLOCK and count % mio._WRITE_BLOCK
+    assert_obj_matches_oracle(mesh, tmp_path)
+
+
+def test_obj_matches_per_row_oracle_with_small_blocks(small_mesh, tmp_path, monkeypatch):
+    # many blocks and a ragged last one, for every block size tried
+    for block in (1, 7, 64):
+        monkeypatch.setattr(mio, "_WRITE_BLOCK", block)
+        assert_obj_matches_oracle(small_mesh, tmp_path)
+
+
+def test_obj_matches_per_row_oracle_on_extreme_floats(tmp_path):
+    values = [-0.0, 5e-324, 1e-300, 0.1, 3.0, 1e16, 1e22]
+    coords = np.array(values + [-v for v in values] + [1.0 / 3.0])
+    positions = coords.reshape(-1, 3)
+    count = len(positions)
+    mesh = mio.SurfaceMesh(
+        n=3, positions=positions, domain=np.zeros((count, 2)),
+        causal=np.arange(count, dtype=np.uint8) % 3,
+        faces=np.array([[0, 1, 2], [count - 1, 3, 0]], dtype=np.int32),
+    )
+    assert_obj_matches_oracle(mesh, tmp_path)
+
+
+def test_obj_matches_per_row_oracle_on_empty_meshes(tmp_path):
+    empty = mio.SurfaceMesh(
+        n=3, positions=np.empty((0, 3)), domain=np.empty((0, 2)),
+        causal=np.empty(0, dtype=np.uint8), faces=np.empty((0, 3), dtype=np.int32),
+    )
+    assert_obj_matches_oracle(empty, tmp_path)
+    # the lone newline of the old "\n".join of no lines
+    assert open(tmp_path / "new.obj", "rb").read() == b"\n"
+    no_faces = mio.SurfaceMesh(
+        n=3, positions=np.array([[0.5, -0.0, 2.0]]), domain=np.zeros((1, 2)),
+        causal=np.array([1], dtype=np.uint8), faces=np.empty((0, 3), dtype=np.int32),
+    )
+    assert_obj_matches_oracle(no_faces, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # PLY
 # ---------------------------------------------------------------------------
@@ -225,3 +328,82 @@ def test_level_curve_csv(tmp_path):
     assert float(row[3]) == float(first.points[0, 1])
     assert float(row[4]) == float(first.points[0, 2])
     assert float(row[5]) == float(first.points[0, 0])
+
+
+def _curve(h, copy_index, params, points):
+    return LevelCurve(n=3, h=h, copy_index=copy_index, is_ray=False,
+                      params=np.asarray(params, dtype=float),
+                      points=np.asarray(points, dtype=float).reshape(-1, 3))
+
+
+def test_level_curves_match_per_row_oracle(tmp_path, monkeypatch):
+    curves = level_curve(4, 0.5, 40) + level_curve(4, -0.5, 40) + level_curve(4, 0.0, 40)
+    assert_levels_match_oracle(curves, tmp_path)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(mio, "_WRITE_BLOCK", block)
+        assert_levels_match_oracle(curves, tmp_path)
+
+
+def test_level_curves_match_per_row_oracle_on_ties(tmp_path):
+    # -0.0 and 0.0 heights compare equal, so both sorts keep their input
+    # order; repeated (h, copy_index, param) keys keep it too
+    points = np.arange(18.0).reshape(6, 3)
+    curves = [
+        _curve(0.0, 1, [0.5, -0.0, 0.5], points[:3]),
+        _curve(-0.0, 1, [0.0, 0.5, 0.25], points[3:] * -1e-300),
+        _curve(-0.0, 0, [0.5, 0.5], points[:2] + 0.1),
+        _curve(0.0, 0, [0.5, 5e-324], points[4:] * 1e22),
+        _curve(-1.0, 2, [1e16], points[:1]),
+    ]
+    assert_levels_match_oracle(curves, tmp_path)
+    assert_levels_match_oracle(curves[::-1], tmp_path)
+
+
+def test_level_curves_match_per_row_oracle_on_no_curves(tmp_path):
+    assert_levels_match_oracle([], tmp_path)
+    assert open(tmp_path / "new.csv", "rb").read() == b"h,copy_index,param,x,y,t\r\n"
+
+
+@pytest.mark.parametrize("column", ["x", "param"])
+def test_level_curves_refuse_non_finite_samples(tmp_path, column):
+    params, points = np.linspace(0.0, 1.0, 5), np.ones((5, 3))
+    if column == "x":
+        points[3, 1] = np.nan  # native (t, x, y): x is column 1
+    else:
+        params[2] = np.nan
+    curves = [_curve(0.5, 0, [0.0], [[0.5, 1.0, 2.0]]), _curve(0.5, 1, params, points)]
+    path = tmp_path / "levels.csv"
+    with pytest.raises(ValueError):
+        mio.export_level_curves(curves, str(path))
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# gallery
+# ---------------------------------------------------------------------------
+
+# SHA-256 of every file that scripts/generate_gallery.py writes at 64x192
+GALLERY_DIGESTS = {
+    "levels3.csv": "e245c9d2495beb6eb57bd8bdb9ab92bd7183dac349c5fc42a79e037f1bfc289a",
+    "levels4.csv": "0a3f9082b2cd816580326eb22b6759497857903b277aa91cd55669e342ac79f4",
+    "levels6.csv": "39092c871151988f9497040f521da0d5a116a7c992fc875cea3be988a294c26f",
+    "noid17.ply": "1cf10ad2ca8196ecc269fc046382e7b3f0115faef2d79ec0d3d1ca899e965385",
+    "noid2.ply": "9ae7fe438d2ef30dd05d1c9099b55d1cbbe2953471a02bfb5dbab5eea9c70bd9",
+    "noid3.obj": "ba7c02cc831238da6227624729a38dfe57f125df1b1c72e062084a1be84a0a59",
+    "noid3.obj.causal.csv": "5e95c25af3af476c9b7bc924966c9d1848ea66f267f45ad61923fee8be29f687",
+    "noid3.ply": "504134844a4489e96e2d7bc82c13d899a18f865185fd314629c4fcaee3a5f917",
+    "noid4.ply": "6126c909a0fff9f7752f279f10e20c4163d00c90ddca250d08cb5ee68ff17969",
+    "noid6.ply": "ff580e3320f1de6896772b72bbb5c5427eaf201126c94849b83c07ca48e35a49",
+    "rays3.csv": "fb36355917e8c62c7e91945bc68ab04db55a5f6bf929e0ac29216c8d8c5e7561",
+    "rays4.csv": "a94b5fd73752721d60dff4d84041f1dbd983677712694dd5a32f7989a3b46aeb",
+    "rays6.csv": "bf5ddb9f85da34243bad5ac034fa52630c4837d7296958c4672a2d540ccbd608",
+}
+
+
+def test_gallery_keeps_its_bytes(tmp_path, monkeypatch):
+    out = tmp_path / "gallery"
+    monkeypatch.setattr(sys, "argv", [str(GALLERY_SCRIPT), "--out", str(out),
+                                      "--grid", "64x192"])
+    runpy.run_path(str(GALLERY_SCRIPT), run_name="__main__")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GALLERY_DIGESTS
