@@ -2,7 +2,7 @@
 """Run the full invariant registry and print a residual table.
 
 A convenience wrapper around ``zmcnoid verify`` for humans: one row per
-(check, order) with the measured residual, its tolerance, and the margin.
+(check, order) with the measured residual, its tolerance, and ok or FAIL.
 Exits nonzero if any check fails, so it slots into CI as-is.
 """
 

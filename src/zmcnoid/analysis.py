@@ -1,8 +1,8 @@
 """Verification toolkit for the extended surface family.
 
-Closed-form partial derivatives and Jacobians of the height/plane
-coordinates, immersion certification, contour solving for the height
-function, level-curve assembly, monotonicity and sector certificates,
+One closed-form kernel for the u-partials and Jacobian minors
+(``surface_partials``), immersion certification, contour solving for the
+height function, level-curve assembly, monotonicity and sector certificates,
 polyline embeddedness scans, boundary-approach divergence probes, and a
 finite-difference zero-mean-curvature residual.
 
@@ -64,47 +64,22 @@ class FoldProximityError(ValueError):
 # closed-form derivatives
 # ---------------------------------------------------------------------------
 
-def x0_u(n: int, u, theta):
-    """du-derivative of the height coordinate: -U_{n-1} sin(n theta) / Psi^2."""
+def surface_partials(n: int, u, theta):
+    """Closed-form u-partials and Jacobian minors (f_u, J01, J02).
+
+    f_u has shape broadcast(u, theta) + (3,) in (t, x, y) order, with dx0/du =
+    -U_{n-1} sin(n theta) / Psi^2.  The minors det d(x0, xk)/d(u, theta) are
+    J01 = U_{n-2} sin((n-1) theta) / Psi^2 and J02 = -U_{n-2} cos((n-1)
+    theta) / Psi^2; along the contour x0 = h, dxk/dtheta = J0k / (dx0/du).
+    """
     ua, ta, factors = domain_factors(n, u, theta)
-    out = -eval_U(n - 1, ua) * np.sin(n * ta) / factor_product(factors) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def x1_u(n: int, u, theta):
-    ua, ta, factors = domain_factors(n, u, theta)
-    num = (
-        np.sin((2 * n - 1) * ta)
-        + 2.0 * eval_U(n - 2, ua) * np.sin((n - 1) * ta)
-        + eval_U(2 * n - 2, ua) * np.sin(ta)
-    )
-    out = num / (2.0 * factor_product(factors) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
-def x2_u(n: int, u, theta):
-    ua, ta, factors = domain_factors(n, u, theta)
-    num = (
-        -np.cos((2 * n - 1) * ta)
-        - 2.0 * eval_U(n - 2, ua) * np.cos((n - 1) * ta)
-        + eval_U(2 * n - 2, ua) * np.cos(ta)
-    )
-    out = num / (2.0 * factor_product(factors) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
-def jacobian01(n: int, u, theta):
-    """det d(x0, x1)/d(u, theta) = U_{n-2} sin((n-1) theta) / Psi^2."""
-    ua, ta, factors = domain_factors(n, u, theta)
-    out = eval_U(n - 2, ua) * np.sin((n - 1) * ta) / factor_product(factors) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def jacobian02(n: int, u, theta):
-    """det d(x0, x2)/d(u, theta) = -U_{n-2} cos((n-1) theta) / Psi^2."""
-    ua, ta, factors = domain_factors(n, u, theta)
-    out = -eval_U(n - 2, ua) * np.cos((n - 1) * ta) / factor_product(factors) ** 2
-    return float(out) if out.ndim == 0 else out
+    psi2 = factor_product(factors) ** 2
+    u_n2, u_n1, u_2n2 = eval_U(n - 2, ua), eval_U(n - 1, ua), eval_U(2 * n - 2, ua)
+    sin_n1, cos_n1 = np.sin((n - 1) * ta), np.cos((n - 1) * ta)
+    x0 = -u_n1 * np.sin(n * ta) / psi2
+    x1 = (np.sin((2 * n - 1) * ta) + 2.0 * u_n2 * sin_n1 + u_2n2 * np.sin(ta)) / (2.0 * psi2)
+    x2 = (-np.cos((2 * n - 1) * ta) - 2.0 * u_n2 * cos_n1 + u_2n2 * np.cos(ta)) / (2.0 * psi2)
+    return np.stack([x0, x1, x2], axis=-1), u_n2 * sin_n1 / psi2, -u_n2 * cos_n1 / psi2
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +122,7 @@ def immersion_certificate(n: int, grid_spec: GridSpec) -> ImmersionReport:
     the analytic bound and the observed max.
     """
     uu, tt = grid_spec.nodes()
-    j01 = jacobian01(n, uu, tt)
-    j02 = jacobian02(n, uu, tt)
+    _, j01, j02 = surface_partials(n, uu, tt)
     bound = eval_U(n - 2, uu) / (math.sqrt(2.0) * psi(n, uu, tt) ** 2)
     observed = np.maximum(np.abs(j01), np.abs(j02))
     ok = bool(np.all(bound > 0.0) and np.all(observed >= bound * (1.0 - 1e-9)))
@@ -267,19 +241,6 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
 # monotonicity along the contour
 # ---------------------------------------------------------------------------
 
-def contour_x1_derivative(n: int, h: float, theta):
-    """d/dtheta of x1 along the contour: -(U_{n-2}/U_{n-1}) sin((n-1)t)/sin(nt)."""
-    u = contour_u(n, h, theta)
-    ta = np.asarray(theta, dtype=float)
-    return -(eval_U(n - 2, u) / eval_U(n - 1, u)) * np.sin((n - 1) * ta) / np.sin(n * ta)
-
-
-def contour_x2_derivative(n: int, h: float, theta):
-    u = contour_u(n, h, theta)
-    ta = np.asarray(theta, dtype=float)
-    return (eval_U(n - 2, u) / eval_U(n - 1, u)) * np.cos((n - 1) * ta) / np.sin(n * ta)
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     n: int
@@ -326,17 +287,17 @@ def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> Monoto
     m = 2048
     tg = np.linspace(0.05 * math.pi / n, 0.95 * math.pi / n, m)
     step = tg[1] - tg[0]
-    ptsu = eval_extended_grid(n, contour_u(n, h, tg), tg)
-    err1 = err2 = 0.0
-    for col, formula in ((1, contour_x1_derivative), (2, contour_x2_derivative)):
+    ug = contour_u(n, h, tg)
+    ptsu = eval_extended_grid(n, ug, tg)
+    # along x0 = h, dxk/dtheta = J0k / (dx0/du)
+    f_u, j01, j02 = surface_partials(n, ug[2:-2], tg[2:-2])
+    errs = []
+    for col, minor in ((1, j01), (2, j02)):
         y = ptsu[:, col]
         fd = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * step)
-        exact = formula(n, h, tg[2:-2])
-        rel = np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact)))
-        if col == 1:
-            err1 = float(rel)
-        else:
-            err2 = float(rel)
+        exact = minor / f_u[:, 0]
+        errs.append(float(np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact)))))
+    err1, err2 = errs
 
     ok = decreasing and below and unimodal and offset <= 2 and err1 < 1e-6 and err2 < 1e-6
     return MonotonicityReport(

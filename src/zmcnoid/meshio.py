@@ -181,15 +181,26 @@ def _write_rows(fh, row: str, table: np.ndarray) -> None:
         fh.write(template % tuple(block.ravel().tolist()))
 
 
+def _check_mesh(mesh: SurfaceMesh) -> None:
+    """ValueError unless positions are finite and causal has one valid code per vertex."""
+    if not np.isfinite(mesh.positions).all():
+        raise ValueError("mesh positions must be finite")
+    causal = np.asarray(mesh.causal)
+    if causal.shape != (mesh.vertex_count,):
+        raise ValueError(f"causal has shape {causal.shape}, need ({mesh.vertex_count},)")
+    bad = np.flatnonzero((causal < 0) | (causal >= len(CAUSAL_NAMES)))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} has causal code {causal[bad[0]]}, not in CAUSAL_NAMES")
+
+
 def export_obj(mesh: SurfaceMesh, path: str) -> None:
     """ASCII OBJ plus a `<path>.causal.csv` sidecar for the vertex tags.
 
     OBJ has no standard per-vertex scalar channel, so the causal attribute
     rides in a CSV of (vertex_index, causal) with 1-based indices matching
-    the `f` records.  Non-finite positions raise ValueError.
+    the `f` records.  A bad mesh raises ValueError before any file opens.
     """
-    if not np.isfinite(mesh.positions).all():
-        raise ValueError("mesh positions must be finite")
+    _check_mesh(mesh)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         _write_rows(fh, "v %r %r %r\n", mesh.positions.astype(np.float64, copy=False))
         _write_rows(fh, "f %d %d %d\n", mesh.faces.astype(np.int64) + 1)
@@ -235,9 +246,8 @@ _PLY_FACE_DTYPE = np.dtype(
 
 
 def export_ply(mesh: SurfaceMesh, path: str) -> None:
-    """Binary little-endian PLY with a per-vertex uchar causal property."""
-    if not np.isfinite(mesh.positions).all():
-        raise ValueError("mesh positions must be finite")
+    """Binary little-endian PLY with a uchar causal per vertex; checks the mesh first."""
+    _check_mesh(mesh)
     header = "\n".join(
         [
             "ply",

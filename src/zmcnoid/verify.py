@@ -23,12 +23,8 @@ import numpy as np
 
 from .analysis import (
     contour_u,
-    jacobian01,
-    jacobian02,
     mean_curvature_residual,
-    x0_u,
-    x1_u,
-    x2_u,
+    surface_partials,
     zmc_verification_grid,
 )
 from .chebyshev import eval_T, eval_U, invert_T, psi
@@ -336,18 +332,15 @@ def _check_derivative_agreement(rng, n):
     du, dth = first_partials_grid(n, u, theta, s)
     du2, dth2 = first_partials_grid(n, u, theta, 2.0 * s)
     du, dth = (4.0 * du - du2) / 3.0, (4.0 * dth - dth2) / 3.0
-    worst = 0.0
-    for col, formula in ((0, x0_u), (1, x1_u), (2, x2_u)):
-        closed = formula(n, u, theta)
-        rel = np.max(np.abs(closed - du[:, col]) / np.maximum(1.0, np.abs(closed)))
-        worst = max(worst, float(rel))
+    f_u, j01, j02 = surface_partials(n, u, theta)
+    worst = float(np.max(np.abs(f_u - du) / np.maximum(1.0, np.abs(f_u))))
     # the 2x2 minors cancel two pole orders, so the finite-difference
     # determinant is only decisive away from the denominator's zero set
     decisive = psi(n, u, theta) >= 0.4
     fd_j01 = du[:, 0] * dth[:, 1] - du[:, 1] * dth[:, 0]
     fd_j02 = du[:, 0] * dth[:, 2] - du[:, 2] * dth[:, 0]
-    for fd, formula in ((fd_j01, jacobian01), (fd_j02, jacobian02)):
-        closed = formula(n, u, theta)[decisive]
+    for fd, minor in ((fd_j01, j01), (fd_j02, j02)):
+        closed = minor[decisive]
         rel = np.max(np.abs(closed - fd[decisive]) / np.maximum(1.0, np.abs(closed)))
         worst = max(worst, float(rel))
     return {"samples": 1000, "minor_samples": int(np.sum(decisive))}, worst
@@ -355,7 +348,8 @@ def _check_derivative_agreement(rng, n):
 
 def _check_jacobian_sum_identity(rng, n):
     u, theta = _sample_domain(rng, n, 1000, gap_lo=1e-2)
-    total = jacobian01(n, u, theta) ** 2 + jacobian02(n, u, theta) ** 2
+    _, j01, j02 = surface_partials(n, u, theta)
+    total = j01 ** 2 + j02 ** 2
     target = eval_U(n - 2, u) ** 2 / psi(n, u, theta) ** 4
     rel = np.max(np.abs(total - target) / target)
     return {"samples": 1000}, rel, rel < 1e-10 and bool(np.all(total > 0.0))

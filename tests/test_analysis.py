@@ -27,27 +27,28 @@ def sample_wedge(rng, n, count, gap_lo=1e-3, gap_hi=3.0):
 # ---------------------------------------------------------------------------
 
 def test_x0_u_vanishes_on_symmetry_spoke():
-    assert an.x0_u(3, 2.0, 0.0) == 0.0
+    assert an.surface_partials(3, 2.0, 0.0)[0][0] == 0.0
 
 
 def test_x0_u_matches_finite_difference():
-    got = an.x0_u(3, 1.4, 0.5)
+    got = an.surface_partials(3, 1.4, 0.5)[0][0]
     fd = central_diff(lambda u: ext.eval_extended_grid(3, u, 0.5)[0], 1.4, 1e-5)
     assert abs(got - fd) < 1e-7
 
 
 def test_x0_u_negative_inside_wedge():
-    assert an.x0_u(4, 1.2, math.pi / 8) < 0.0
+    assert an.surface_partials(4, 1.2, math.pi / 8)[0][0] < 0.0
 
 
 def test_x1_u_vanishes_at_theta_zero():
     # every numerator term carries a sine of a multiple of theta
-    assert an.x1_u(2, 1.5, 0.0) == 0.0
+    assert an.surface_partials(2, 1.5, 0.0)[0][1] == 0.0
 
 
 def test_x1_x2_u_match_finite_difference():
-    for col, func in ((1, an.x1_u), (2, an.x2_u)):
-        got = func(3, 1.3, 0.6)
+    f_u = an.surface_partials(3, 1.3, 0.6)[0]
+    for col in (1, 2):
+        got = f_u[col]
         fd = central_diff(lambda u: ext.eval_extended_grid(3, u, 0.6)[col], 1.3, 1e-5)
         assert abs(got - fd) < 1e-7
 
@@ -55,8 +56,8 @@ def test_x1_x2_u_match_finite_difference():
 def test_partials_finite_in_timelike_region():
     u, theta = 0.98, math.pi / 5 - 0.05
     assert u > ext.omega_lower_bound(5, theta)
-    for func in (an.x0_u, an.x1_u, an.x2_u):
-        assert math.isfinite(func(5, u, theta))
+    for value in an.surface_partials(5, u, theta)[0]:
+        assert math.isfinite(value)
 
 
 def test_partials_match_finite_difference_sampled():
@@ -64,17 +65,25 @@ def test_partials_match_finite_difference_sampled():
     for n in (2, 4, 6, 8):
         u, theta = sample_wedge(rng, n, 100, gap_lo=5e-2)
         step = 1e-6 * np.minimum(u - ext.omega_lower_bound(n, theta), 1.0)
-        for col, func in ((0, an.x0_u), (1, an.x1_u), (2, an.x2_u)):
-            got = func(n, u, theta)
+        f_u = an.surface_partials(n, u, theta)[0]
+        for col in range(3):
+            got = f_u[:, col]
             fd = (ext.eval_extended_grid(n, u + step, theta)[:, col]
                   - ext.eval_extended_grid(n, u - step, theta)[:, col]) / (2.0 * step)
             rel = np.abs(got - fd) / np.maximum(1.0, np.abs(got))
             assert np.max(rel) < 1e-6, (n, col)
 
 
+def test_surface_partials_shapes():
+    f_u, j01, j02 = an.surface_partials(3, 1.5, 0.2)
+    assert f_u.shape == (3,) and np.ndim(j01) == 0 and np.ndim(j02) == 0
+    f_u, j01, j02 = an.surface_partials(3, np.full((4, 1), 1.5), np.linspace(0.0, 0.3, 5))
+    assert f_u.shape == (4, 5, 3) and j01.shape == j02.shape == (4, 5)
+
+
 def test_partials_reject_out_of_domain():
     with pytest.raises(ext.OutOfDomainError):
-        an.x0_u(3, 0.3, 0.1)
+        an.surface_partials(3, 0.3, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +91,9 @@ def test_partials_reject_out_of_domain():
 # ---------------------------------------------------------------------------
 
 def test_jacobians_spot_values():
-    assert an.jacobian01(3, 1.2, 0.0) == 0.0
+    _, j01, got = an.surface_partials(3, 1.2, 0.0)
+    assert j01 == 0.0
     want = -eval_U(1, 1.2) / psi(3, 1.2, 0.0) ** 2
-    got = an.jacobian02(3, 1.2, 0.0)
     assert got < 0.0
     assert abs(got - want) < 1e-14
 
@@ -101,13 +110,13 @@ def test_jacobians_match_fd_determinants():
         cols[c] = (du, dt)
     det01 = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     det02 = cols[0][0] * cols[2][1] - cols[0][1] * cols[2][0]
-    assert abs(an.jacobian01(n, u, theta) - det01) < 1e-6
-    assert abs(an.jacobian02(n, u, theta) - det02) < 1e-6
+    _, j01, j02 = an.surface_partials(n, u, theta)
+    assert abs(j01 - det01) < 1e-6
+    assert abs(j02 - det02) < 1e-6
 
 
 def test_jacobians_not_both_zero_in_timelike_region():
-    j1 = an.jacobian01(6, 0.95, math.pi / 6)
-    j2 = an.jacobian02(6, 0.95, math.pi / 6)
+    _, j1, j2 = an.surface_partials(6, 0.95, math.pi / 6)
     assert max(abs(j1), abs(j2)) > 0.0
 
 
@@ -115,7 +124,8 @@ def test_jacobian_sum_identity():
     rng = np.random.default_rng(402)
     for n in (2, 3, 5, 8):
         u, theta = sample_wedge(rng, n, 300)
-        lhs = an.jacobian01(n, u, theta) ** 2 + an.jacobian02(n, u, theta) ** 2
+        _, j01, j02 = an.surface_partials(n, u, theta)
+        lhs = j01 ** 2 + j02 ** 2
         rhs = eval_U(n - 2, u) ** 2 / psi(n, u, theta) ** 4
         assert np.min(lhs) > 0.0
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-10
@@ -302,8 +312,24 @@ def test_monotonicity_argmax_location():
 
 def test_contour_x2_derivative_zero_at_argmax():
     # cos((n-1) theta) factor kills the derivative at theta = pi/(2(n-1))
-    val = an.contour_x2_derivative(3, 0.5, math.pi / 4)
+    theta = math.pi / 4
+    f_u, _, j02 = an.surface_partials(3, an.contour_u(3, 0.5, theta), theta)
+    val = j02 / f_u[0]
     assert abs(val) < 1e-8
+
+
+def test_contour_slopes_match_reduced_ratio():
+    # J0k / (dx0/du) on x0 = h reduces to -(U_{n-2} / U_{n-1}) sin((n-1) theta)
+    # / sin(n theta) for x1 and to +(...) cos((n-1) theta) / sin(n theta) for x2
+    for n in range(3, 13):
+        tg = np.linspace(0.05 * math.pi / n, 0.95 * math.pi / n, 257)
+        for h in (0.01, 1.0, 100.0):
+            u = an.contour_u(n, h, tg)
+            f_u, j01, j02 = an.surface_partials(n, u, tg)
+            ratio = eval_U(n - 2, u) / eval_U(n - 1, u) / np.sin(n * tg)
+            for got, want in ((j01 / f_u[:, 0], -ratio * np.sin((n - 1) * tg)),
+                              (j02 / f_u[:, 0], ratio * np.cos((n - 1) * tg))):
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14, (n, h)
 
 
 def test_monotonicity_validation():

@@ -134,11 +134,20 @@ def test_verify_stdout_byte_identical(capsys):
     assert first == second
 
 
-def test_verify_seed42_stdout_digest(capsys):
-    # any change to the draws or their order moves these bytes
-    assert run_cli(["verify", "--seed", "42"]) == 0
+# SHA-256 of `verify --seed S` stdout; any change to the draws or their
+# order moves these bytes
+VERIFY_DIGESTS = {
+    42: "1a9a1729c9ac6aacf2325fde2c524c1a82ea4fefa251a7feaaa82b10af19aa45",
+    0: "93d492ad80b02fa494e0e379771c8b33ecf805acf090d5ebfc781ca727b93632",
+    7: "90c4a031991ab10f8346e34b9796983457cbf0aa9aa8ab59e9b39fed1aa75dea",
+}
+
+
+@pytest.mark.parametrize("seed", VERIFY_DIGESTS)
+def test_verify_stdout_digest(capsys, seed):
+    assert run_cli(["verify", "--seed", str(seed)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "1a9a1729c9ac6aacf2325fde2c524c1a82ea4fefa251a7feaaa82b10af19aa45"
+    assert digest == VERIFY_DIGESTS[seed]
 
 
 def test_verify_n_restricts_surface_checks(capsys):

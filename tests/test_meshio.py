@@ -302,6 +302,19 @@ def test_mesh_writers_refuse_non_finite_positions(small_mesh, tmp_path):
         assert not (tmp_path / name).exists()
 
 
+def test_mesh_writers_refuse_bad_causal_before_opening(tmp_path):
+    def mesh(causal):
+        return mio.SurfaceMesh(n=3, positions=np.zeros((2, 3)), domain=np.zeros((2, 2)),
+                               causal=np.array(causal, dtype=np.uint8),
+                               faces=np.empty((0, 3), dtype=np.int32))
+
+    for causal, message in (([0, 7], "vertex 1 has causal code 7"), ([0], r"shape \(1,\)")):
+        for writer in (mio.export_obj, mio.export_ply):
+            with pytest.raises(ValueError, match=message):
+                writer(mesh(causal), str(tmp_path / "bad"))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # level-curve CSV
 # ---------------------------------------------------------------------------

@@ -108,16 +108,43 @@ def test_seed_determinism_and_variation():
 
 
 def test_subset_preserves_stream_position():
-    # the PCG64 stream is threaded in registry order, so a check's records
-    # are identical whether or not earlier checks also ran
-    full = verify.run_checks(
-        ids=["chebyshev.invert_roundtrip", "extension.graph_identity_n2"], seed=11
-    )
-    solo = verify.run_checks(ids=["extension.graph_identity_n2"], seed=11)
-    full_graph = [c.measured for c in full.checks
-                  if c.name == "extension.graph_identity_n2"]
-    solo_graph = [c.measured for c in solo.checks]
-    assert full_graph == solo_graph
+    # one PCG64 stream runs through the checks in registry order: leaving out
+    # checks that draw nothing keeps a later check's records whole, leaving
+    # out one that draws shifts them
+    graph = "extension.graph_identity_n2"
+
+    def graph_records(*earlier):
+        report = verify.run_checks(ids=[*earlier, graph], seed=11)
+        return [c for c in report.checks if c.name == graph]
+
+    solo = graph_records()
+    assert graph_records("chebyshev.monotonicity", "chebyshev.positivity") == solo
+    assert graph_records("chebyshev.invert_roundtrip") != solo
+
+
+@pytest.mark.parametrize("target", ["f_u.t", "f_u.x", "f_u.y", "j01", "j02"])
+def test_perturbed_kernel_fails_every_derivative_record(monkeypatch, target):
+    # scaling one output of the closed-form kernel by 1 + 1e-5 must fail
+    # every order of the checks that compare it, so no comparison is dropped
+    exact = verify.surface_partials
+
+    def perturbed(n, u, theta):
+        f_u, j01, j02 = exact(n, u, theta)
+        if target == "j01":
+            return f_u, j01 * (1.0 + 1e-5), j02
+        if target == "j02":
+            return f_u, j01, j02 * (1.0 + 1e-5)
+        f_u = f_u.copy()
+        f_u[..., "txy".index(target[-1])] *= 1.0 + 1e-5
+        return f_u, j01, j02
+
+    monkeypatch.setattr(verify, "surface_partials", perturbed)
+    ids = ["analysis.derivative_agreement", "analysis.jacobian_sum_identity"]
+    report = verify.run_checks(ids=ids, seed=42)
+    passed = {i: [c.passed for c in report.checks if c.name == i] for i in ids}
+    assert passed[ids[0]] == [False] * 7
+    # the sum identity reads only the minors
+    assert passed[ids[1]] == [target.startswith("f_u")] * 7
 
 
 def test_ns_restriction():
