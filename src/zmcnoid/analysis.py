@@ -198,6 +198,8 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
         raise ValueError(f"need n >= 2, got {n}")
     if not math.isfinite(h):
         raise ValueError(f"height must be finite, got {h}")
+    if not math.isfinite(u_max):
+        raise ValueError(f"n={n}: u_max must be finite, got {u_max!r}")
     if h > 0.0:
         thetas = _fundamental_arc_thetas(n, samples)
         u = contour_u(n, h, thetas)
@@ -230,7 +232,10 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
         # the wedge corner where the coordinates diverge at pole rate, and
         # closer samples lose the height invariant to cancellation noise
         us = lo + (u_max - lo) * np.geomspace(1e-3, 1.0, samples)
-        pts = eval_extended_grid(n, us, np.full(samples, k * math.pi / n))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            pts = eval_extended_grid(n, us, np.full(samples, k * math.pi / n))
+        if not np.isfinite(pts).all():
+            raise ValueError(f"n={n}, u_max={u_max!r}: ray {k} leaves float64")
         out.append(
             LevelCurve(n=n, h=0.0, copy_index=k, is_ray=True, params=us, points=pts)
         )

@@ -2,7 +2,10 @@
 
 Builds display meshes of the extended surface over truncated subdomains,
 tags every vertex with its causal type, and writes OBJ / PLY / CSV
-artifacts that are byte-identical across runs for identical inputs.
+artifacts that are byte-identical across runs for identical inputs.  The
+text writers format whole blocks of rows in numpy, floats as their repr and
+ints as their str; only floats outside [1e-4, 1e15) or at a rounding tie
+call repr itself.
 
 Display coordinates are ordered (x, y, t) so the rotational axis points up
 in common viewers; the evaluator's native order is (t, x, y).
@@ -22,8 +25,8 @@ from .extension import CausalType, eval_extended_grid, omega_lower_bound
 DEGENERATE_FACE_AREA = 1e-14
 CAUSAL_NAMES = ("spacelike", "lightlike", "timelike")
 
-# rows per `%` in the text writers: large enough to amortize the Python
-# call, small enough to keep the formatted block out of the peak memory
+# rows per formatted block in the text writers: large enough to amortize
+# the numpy calls, small enough to keep the block out of the peak memory
 _WRITE_BLOCK = 1 << 14
 
 # native (t, x, y) -> display (x, y, t)
@@ -165,26 +168,151 @@ def tessellate(
 
 
 # ---------------------------------------------------------------------------
+# text rows
+# ---------------------------------------------------------------------------
+
+# 10^k for k = -4..20, each correctly rounded: the negative powers round up,
+# so a >= 10^k exactly when a >= _POW10[k + 4], and the others are exact
+_POW10 = np.array([float(f"1e{k}") for k in range(-4, 21)])
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+# a 16- or 15-digit residual this close to a rounding tie or to half an ulp,
+# in units of the 17th digit, sends the value to repr; their errors are < 1e-14
+_TIE = 1e-11
+_FLOAT_WIDTH = 24  # the longest float repr, e.g. -2.2250738585072014e-308
+
+
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _shortest_digits(a: np.ndarray):
+    """repr's digits of positive floats: (digits, exp, slow).
+
+    With exp = floor(log10 a), the p-digit rounding of a * 10^(p-1-exp)
+    reads back as a when it lies within half an ulp of a, scaled alike;
+    p = 17 always does.  repr takes the least such p, and for p <= 15 that
+    is the 15-digit rounding with its zeros stripped (Gay 1990).  digits is
+    it, padded to 17 digits.  Where slow is set, a is out of positional
+    range or a residual is within _TIE of a decision, and both are void.
+    """
+    col = np.searchsorted(_POW10[:20], a, side="right")
+    slow = (col == 0) | (col == 20)  # repr is positional on [1e-4, 1e15)
+    col = np.where(slow, 5, col)
+    a = np.where(slow, 1.0, a)
+    scale = _POW10[25 - col]  # 10^(16 - exp), exact
+    # a * scale = hi + lo exactly (Dekker 1971); hi >= 1e16 > 2^53 is an integer
+    hi = a * scale
+    (ah, al), (sh, sl) = _split(a), _split(scale)
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    step = np.rint(lo)
+    r17 = lo - step
+    d17 = hi.astype(np.int64) + step.astype(np.int64)  # hi is even
+    # the 16- and 15-digit roundings of hi + lo, residuals in 17th-digit units
+    q16 = d17 // 10
+    q15 = q16 // 10
+    u16 = (d17 - 10 * q16) + r17
+    u15 = (d17 - 100 * q15) + r17
+    up16, up15 = u16 > 5.0, u15 > 50.0
+    v16, v15 = np.abs(u16 - 10.0 * up16), np.abs(u15 - 100.0 * up15)
+    # half an ulp of a in 17th-digit units, in (0.55, 11.1): so a 15-digit
+    # tie never reads back, and r17 is exact, its ties broken to even as in
+    # repr.  No power of two in range has a candidate in its narrower half
+    half_ulp = np.ldexp(scale, np.frexp(a)[1] - 54)
+    slow |= ((np.abs(v16 - 5.0) < _TIE) | (np.abs(v16 - half_ulp) < _TIE)
+             | (np.abs(v15 - half_ulp) < _TIE))
+    digits = np.where(v16 < half_ulp, (q16 + up16) * 10, d17)
+    digits = np.where(v15 < half_ulp, (q15 + up15) * 100, digits)
+    return digits, col - 5, slow
+
+
+def _digit_rows(q: np.ndarray, width: int) -> np.ndarray:
+    """The width lowest decimal digits of ints q >= 0 as ASCII rows, high first."""
+    rows = np.empty((width, len(q)), dtype=np.uint8)
+    for row in range(width - 1, -1, -1):
+        if (width - 1 - row) % 9 == 0:  # int32 parts of 9 digits divide faster
+            part, q = (q % 10**9).astype(np.int32), q // 10**9
+        quotient = part // 10
+        rows[row] = part - 10 * quotient + ord("0")
+        part = quotient
+    return rows
+
+
+def _float_field(x: np.ndarray) -> np.ndarray:
+    """repr(float(v)) for v in x, as the rows of a NUL-padded uint8 matrix."""
+    digits, exp, slow = _shortest_digits(np.abs(x))
+    # rows: NUL, the four zeros a leading "0." may need, 17 digits, NUL
+    ext = np.zeros((23, len(x)), dtype=np.uint8)
+    ext[1:5] = ord("0")
+    ext[5:22] = _digit_rows(digits, 17)
+    kept = 17 - np.argmax(ext[21:4:-1] != ord("0"), axis=0).astype(np.int8)
+    # body[j] is ext[j + 1] before the point and ext[j] after it
+    point = (exp + 5).astype(np.int8)
+    place = np.arange(22, dtype=np.int8)[:, None]
+    body = np.where(place < point, ext[1:], ext[:-1])
+    body[place == point] = ord(".")
+    body *= (place >= np.minimum(point - 1, 4)) & (place <= np.maximum(point + 1, kept + 4))
+    field = np.zeros((_FLOAT_WIDTH, len(x)), dtype=np.uint8)
+    field[0] = np.where(x < 0.0, ord("-"), 0)
+    field[1:23] = body
+    (rows,) = np.nonzero(slow)
+    if rows.size:
+        text = np.array([repr(v) for v in x[rows].tolist()], dtype=f"S{_FLOAT_WIDTH}")
+        field[:, rows] = text.view(np.uint8).reshape(-1, _FLOAT_WIDTH).T
+    return field.T
+
+
+def _int_field(v: np.ndarray) -> np.ndarray:
+    """str(int(i)) for i in v, as the rows of a NUL-padded uint8 matrix."""
+    mag = np.abs(v.astype(np.int64))
+    width = len(str(mag.max()))
+    field = np.empty((width + 1, len(v)), dtype=np.uint8)
+    field[0] = np.where(v < 0, ord("-"), 0)
+    field[1:] = _digit_rows(mag, width)
+    field[1:width][mag < 10 ** np.arange(width - 1, 0, -1)[:, None]] = 0
+    return field.T
+
+
+_FIELDS = {"f": _float_field, "i": _int_field,
+           "S": lambda v: v.view(np.uint8).reshape(len(v), -1)}
+
+
+def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
+    """Write one template row per row of the columns, to a binary file.
+
+    Each "{}" takes the next column: floats print as their repr, ints as
+    their str, bytes as they are.  A block of _WRITE_BLOCK rows is one
+    NUL-padded byte matrix, and one compress drops the padding.
+    """
+    literals = [np.frombuffer(part.encode("ascii"), np.uint8) for part in template.split("{}")]
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        blocks = [column[start:start + _WRITE_BLOCK] for column in columns]
+        shape = (len(blocks[0]), len(literals[0]))
+        row = [np.broadcast_to(literals[0], shape)]
+        for block, literal in zip(blocks, literals[1:]):
+            row += [_FIELDS[block.dtype.kind](block),
+                    np.broadcast_to(literal, (shape[0], len(literal)))]
+        matrix = np.concatenate(row, axis=1)
+        fh.write(matrix[matrix != 0].tobytes())
+
+
+# ---------------------------------------------------------------------------
 # OBJ
 # ---------------------------------------------------------------------------
 
-def _write_rows(fh, row: str, table: np.ndarray) -> None:
-    """Write each row of a 2-D table through the template row.
-
-    One `%` formats a block of _WRITE_BLOCK rows: the values come from
-    tolist(), so `%r` sees Python floats and `%d` Python ints.
-    """
-    full = row * _WRITE_BLOCK
-    for start in range(0, len(table), _WRITE_BLOCK):
-        block = table[start:start + _WRITE_BLOCK]
-        template = full if len(block) == _WRITE_BLOCK else row * len(block)
-        fh.write(template % tuple(block.ravel().tolist()))
-
-
 def _check_mesh(mesh: SurfaceMesh) -> None:
-    """ValueError unless positions are finite and causal has one valid code per vertex."""
+    """ValueError unless positions are finite, causal has one valid code per
+    vertex and faces is (k, 3) integer with every index a vertex."""
     if not np.isfinite(mesh.positions).all():
         raise ValueError("mesh positions must be finite")
+    faces = np.asarray(mesh.faces)
+    if faces.ndim != 2 or faces.shape[1] != 3 or faces.dtype.kind not in "iu":
+        raise ValueError(f"faces must be (k, 3) integer, got {faces.dtype} {faces.shape}")
+    if faces.size and (faces.min() < 0 or faces.max() >= mesh.vertex_count):
+        bad = np.flatnonzero(((faces < 0) | (faces >= mesh.vertex_count)).any(axis=1))[0]
+        raise ValueError(f"face {bad} has vertex indices {faces[bad].tolist()}, "
+                         f"not all in [0, {mesh.vertex_count})")
     causal = np.asarray(mesh.causal)
     if causal.shape != (mesh.vertex_count,):
         raise ValueError(f"causal has shape {causal.shape}, need ({mesh.vertex_count},)")
@@ -201,17 +329,15 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
     the `f` records.  A bad mesh raises ValueError before any file opens.
     """
     _check_mesh(mesh)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_rows(fh, "v %r %r %r\n", mesh.positions.astype(np.float64, copy=False))
-        _write_rows(fh, "f %d %d %d\n", mesh.faces.astype(np.int64) + 1)
+    with open(path, "wb") as fh:
+        _write_rows(fh, "v {} {} {}\n", *mesh.positions.astype(np.float64, copy=False).T)
+        _write_rows(fh, "f {} {} {}\n", *mesh.faces.T.astype(np.int64) + 1)
         if mesh.vertex_count == 0 and mesh.face_count == 0:
-            fh.write("\n")
-    sidecar = np.empty((mesh.vertex_count, 2), dtype=object)
-    sidecar[:, 0] = range(1, mesh.vertex_count + 1)
-    sidecar[:, 1] = np.array(CAUSAL_NAMES, dtype=object)[mesh.causal]
-    with open(path + ".causal.csv", "w", encoding="ascii", newline="") as fh:
-        fh.write("vertex_index,causal\r\n")
-        _write_rows(fh, "%d,%s\r\n", sidecar)
+            fh.write(b"\n")
+    with open(path + ".causal.csv", "wb") as fh:
+        fh.write(b"vertex_index,causal\r\n")
+        _write_rows(fh, "{},{}\r\n", np.arange(1, mesh.vertex_count + 1),
+                    np.array(CAUSAL_NAMES, dtype=bytes)[mesh.causal])
 
 
 def read_obj(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -326,6 +452,7 @@ def export_level_curves(curves, path: str) -> None:
     if not np.isfinite(table[:, [0, 2, 3, 4, 5]]).all():
         raise ValueError("level curve samples must be finite")
     table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("h,copy_index,param,x,y,t\r\n")
-        _write_rows(fh, "%r,%d,%r,%r,%r,%r\r\n", table)
+    with open(path, "wb") as fh:
+        fh.write(b"h,copy_index,param,x,y,t\r\n")
+        _write_rows(fh, "{},{},{},{},{},{}\r\n", table[:, 0], table[:, 1].astype(np.int64),
+                    *table[:, 2:].T)

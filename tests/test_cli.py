@@ -281,6 +281,18 @@ def test_levels_rejects_heights_without_finite_output(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_levels_rejects_u_max_without_finite_rays(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for u_max in ("nan", "inf", "1e300"):
+        assert run_expect_usage_error(
+            ["levels", "--n", "3", "--h", "0", "--u-max", u_max, "--out", str(out)]) == 2, u_max
+        last = capsys.readouterr().err.rstrip("\n").splitlines()[-1]
+        assert last.startswith("zmcnoid: error: levels: ")
+        assert repr(float(u_max)) in last
+        assert not out.exists()
+
+
 def test_levels_io_error(tmp_path):
     out = str(tmp_path / "nope" / "x.csv")
     assert run_cli(["levels", "--n", "3", "--h", "1", "--out", out]) == 3

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import math
 import pathlib
 import runpy
@@ -260,6 +261,75 @@ def test_obj_matches_per_row_oracle_on_empty_meshes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# row formatter against repr and str, value by value
+# ---------------------------------------------------------------------------
+
+def assert_rows_match(column, text=repr):
+    out = io.BytesIO()
+    mio._write_rows(out, "{}\n", column)
+    assert out.getvalue().decode().split("\n")[:-1] == [text(v) for v in column.tolist()]
+
+
+def repr_digits(value):
+    return len(repr(abs(value)).split("e")[0].replace(".", "").lstrip("0"))
+
+
+def test_floats_match_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(20261018)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert_rows_match(values[np.isfinite(values)])
+
+
+def test_floats_match_repr_on_log_uniform_magnitudes():
+    rng = np.random.default_rng(7)
+    values = 10.0 ** rng.uniform(-6.0, 17.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    assert_rows_match(values)
+
+
+def test_floats_match_repr_at_edges_and_powers():
+    tiny = [0.0, 5e-324, np.finfo(float).tiny, 1e-4, 1e15]
+    twos = [2.0**k for k in range(-30, 61)]  # all 63 powers of two in [1e-4, 1e15) among them
+    tens = np.array([float(f"1e{k}") for k in range(-5, 17)])
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    values = np.array(tiny + twos + near.tolist())
+    assert_rows_match(np.concatenate([values, -values]))
+
+
+def test_floats_match_repr_at_decimal_ties():
+    # dyadic values whose 15-, 16- or 17-digit rounding is an exact tie,
+    # which repr breaks to even
+    base = np.array([2.0**49, 2.0**47, 1e14, 1e13, 1e12, 0.5, 3.0])
+    values = (base[:, None] + np.spacing(base)[:, None] * np.arange(-400, 400)).ravel()
+    assert_rows_match(values)
+
+
+def test_floats_match_repr_at_15_16_and_17_digits():
+    rng = np.random.default_rng(11)
+    mantissas = rng.integers(10**14, 10**15, 20_000)
+    mantissas = mantissas[mantissas % 10 != 0]
+    fifteen = np.array([float(f"{m}e{e}") for m, e in
+                        zip(mantissas.tolist(), rng.integers(-18, 1, len(mantissas)).tolist())])
+    values = np.concatenate([fifteen, 10.0 ** rng.uniform(-4.0, 15.0, 50_000)])
+    counts = np.bincount([repr_digits(v) for v in values.tolist()], minlength=18)
+    assert counts[15] > 10_000 and counts[16] > 10_000 and counts[17] > 10_000
+    assert_rows_match(values)
+
+
+def test_ints_match_str():
+    edges = [0, 9, 10, 99, 100, 2**31 - 1, -1, -10, -(2**31), 10**17, -(10**18)]
+    assert_rows_match(np.array(edges, dtype=np.int64), text=str)
+    assert_rows_match(np.arange(-1000, 1001), text=str)
+    assert_rows_match(np.array([7], dtype=np.int32), text=str)
+
+
+def test_level_curves_match_per_row_oracle_on_negative_copy_index(tmp_path):
+    points = np.arange(12.0).reshape(4, 3) / 7.0
+    curves = [_curve(0.5, -3, [0.1, 0.2], points[:2]), _curve(0.5, -12, [0.3, 0.4], points[2:]),
+              _curve(0.5, 10, [0.5, 0.6], points[:2])]
+    assert_levels_match_oracle(curves, tmp_path)
+
+
+# ---------------------------------------------------------------------------
 # PLY
 # ---------------------------------------------------------------------------
 
@@ -312,6 +382,25 @@ def test_mesh_writers_refuse_bad_causal_before_opening(tmp_path):
         for writer in (mio.export_obj, mio.export_ply):
             with pytest.raises(ValueError, match=message):
                 writer(mesh(causal), str(tmp_path / "bad"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mesh_writers_refuse_bad_faces_before_opening(tmp_path):
+    def mesh(faces, dtype=np.int32):
+        return mio.SurfaceMesh(n=3, positions=np.zeros((2, 3)), domain=np.zeros((2, 2)),
+                               causal=np.zeros(2, dtype=np.uint8),
+                               faces=np.array(faces, dtype=dtype))
+
+    cases = (
+        (mesh([[0, 1, 5], [-1, 0, 1]]), r"face 0 has vertex indices \[0, 1, 5\], not all in \[0, 2\)"),
+        (mesh([[0, 1, 1], [-1, 0, 1]]), r"face 1 has vertex indices \[-1, 0, 1\]"),
+        (mesh([[0, 1]]), r"faces must be \(k, 3\) integer"),
+        (mesh([[0, 1, 1]], dtype=float), r"faces must be \(k, 3\) integer"),
+    )
+    for bad, message in cases:
+        for writer in (mio.export_obj, mio.export_ply):
+            with pytest.raises(ValueError, match=message):
+                writer(bad, str(tmp_path / "bad"))
     assert list(tmp_path.iterdir()) == []
 
 
