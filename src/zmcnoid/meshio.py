@@ -4,8 +4,8 @@ Builds display meshes of the extended surface over truncated subdomains,
 tags every vertex with its causal type, and writes OBJ / PLY / CSV
 artifacts that are byte-identical across runs for identical inputs.  The
 text writers format whole blocks of rows in numpy, floats as their repr and
-ints as their str; only floats outside [1e-4, 1e15) or at a rounding tie
-call repr itself.
+ints as their str; only floats outside [1e-4, 1e15), or whose rounding is
+too close to call in float64, go through repr itself.
 
 Display coordinates are ordered (x, y, t) so the rotational axis points up
 in common viewers; the evaluator's native order is (t, x, y).
@@ -188,7 +188,7 @@ def _split(a):
 
 
 def _shortest_digits(a: np.ndarray):
-    """repr's digits of positive floats: (digits, exp, slow).
+    """repr's digits of floats a >= 0: (digits, exp, slow).
 
     With exp = floor(log10 a), the p-digit rounding of a * 10^(p-1-exp)
     reads back as a when it lies within half an ulp of a, scaled alike;
