@@ -97,12 +97,11 @@ def _cmd_mesh(args, parser) -> int:
         fmt = suffix
     try:
         mesh = tessellate(args.n, u_max=args.u_max, eps=args.eps, grid=args.grid)
+        (export_obj if fmt == "obj" else export_ply)(mesh, args.out)
     except ValueError as exc:
         parser.error(f"mesh: {exc}")
-    if fmt == "obj":
-        export_obj(mesh, args.out)
-    else:
-        export_ply(mesh, args.out)
+    except MemoryError:
+        parser.error("mesh: a {}x{} grid does not fit in memory".format(*args.grid))
     print(f"{args.out}: {mesh.vertex_count} vertices, {mesh.face_count} faces")
     return 0
 

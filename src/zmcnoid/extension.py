@@ -60,13 +60,6 @@ class BoundaryProximityError(DomainGuardError):
     """A log factor u - cos(theta - 2 pi j/n) is below LOG_FACTOR_GUARD."""
 
 
-def _guard(error, n, ua, ta, factors, guard):
-    bad = factors <= guard
-    if bad.any():
-        k = np.flatnonzero(bad.any(axis=0))[0]
-        raise error(n, float(ua.flat[k]), float(ta.flat[k]), guard)
-
-
 class CausalType(IntEnum):
     """Sign class of the induced metric determinant EG - F^2."""
 
@@ -85,16 +78,26 @@ def domain_factors(n: int, u, theta):
     """Broadcast (u, theta) and return (u, theta, log factors).
 
     The log factors are the n values u - cos(theta - 2 pi j/n) stacked on a
-    leading axis.  Raises OutOfDomainError unless every point lies in
-    Omega_n, that is unless every factor is positive.
+    leading axis, cosines taken at theta's own shape.  Raises OutOfDomainError
+    unless every point lies in Omega_n, that is unless every factor is > 0.
     """
+    ua, ta, factors = _guarded_factors(n, u, theta, 0.0)
+    return (*np.broadcast_arrays(ua, ta), factors)
+
+
+def _guarded_factors(n, u, theta, guard):
+    # (u, theta) at their own shapes and the log factors, all > guard; else the
+    # first point with a factor <= 0, failing that <= guard, is named
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    ua, ta = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
-    )
+    ua, ta = np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     factors = log_factors(n, ua, ta)
-    _guard(OutOfDomainError, n, ua, ta, factors, 0.0)
+    if (factors <= guard).any():
+        ub, tb = np.broadcast_arrays(ua, ta)
+        for error, level in ((OutOfDomainError, 0.0), (BoundaryProximityError, guard)):
+            bad = np.flatnonzero((factors <= level).any(axis=0))
+            if bad.size:
+                raise error(n, float(ub.flat[bad[0]]), float(tb.flat[bad[0]]), level)
     return ua, ta, factors
 
 
@@ -149,10 +152,10 @@ def eval_extended_grid(n: int, u, theta):
 
     Returns an ndarray of shape broadcast(u, theta) + (3,), coordinates in
     (t, x, y) order.  Raises OutOfDomainError / BoundaryProximityError if any
-    point violates the domain or the log-factor guard.
+    point violates the domain or the log-factor guard.  Terms in theta alone
+    are computed at theta's own shape, so a (1, ntheta) row pays once per column.
     """
-    ua, ta, factors = domain_factors(n, u, theta)
-    _guard(BoundaryProximityError, n, ua, ta, factors, LOG_FACTOR_GUARD)
+    ua, ta, factors = _guarded_factors(n, u, theta, LOG_FACTOR_GUARD)
     D = n * factor_product(factors)
     c = (n - 1) / n ** 2
     tn1 = eval_T(n - 1, ua)

@@ -36,12 +36,11 @@ _DISPLAY_ORDER = (1, 2, 0)
 def thread_cap() -> int:
     """Worker limit for row-parallel tessellation, ZMC_NOID_THREADS wins."""
     raw = os.environ.get("ZMC_NOID_THREADS")
-    if raw is not None:
-        value = int(raw)
-        if value < 1:
-            raise ValueError(f"ZMC_NOID_THREADS must be positive, got {raw}")
-        return value
-    return os.cpu_count() or 1
+    if raw is None:
+        return os.cpu_count() or 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"ZMC_NOID_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,33 +68,37 @@ class SurfaceMesh:
         return int(self.faces.shape[0])
 
 
+def _norm(v):
+    # the length of v over its leading axis, rounded as np.linalg.norm rounds
+    return np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
+
+
 def _split_quads(positions: np.ndarray, nu: int, ntheta: int) -> np.ndarray:
-    # quad corners walk u-row i then i+1, with the theta seam closed by
-    # np.roll; the corner positions pa..pd serve both the diagonal choice
-    # and the area filter
-    grid = positions.reshape(nu, ntheta, 3)
-    index = np.arange(nu * ntheta).reshape(nu, ntheta)
-    pa, pd = grid[:-1], grid[1:]
-    pb, pc = np.roll(pa, -1, axis=1), np.roll(pd, -1, axis=1)
-    a, d = index[:-1], index[1:]
-    b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
-    corners = ((a, pa), (b, pb), (c, pc), (d, pd))
+    """Split each quad along its shorter display diagonal, dropping slivers.
 
-    use_ac = np.linalg.norm(pa - pc, axis=2) <= np.linalg.norm(pb - pd, axis=2)
-
-    def corner(ac, bd):
-        # the triangle corner when the quad is split along ac, else along bd
-        (i_ac, p_ac), (i_bd, p_bd) = corners[ac], corners[bd]
-        return np.where(use_ac, i_ac, i_bd), np.where(use_ac[..., None], p_ac, p_bd)
-
-    faces, areas = [], []
-    # (a, b, c) and (a, c, d) when split along ac, (b, c, d) and (b, d, a) along bd
-    for slots in (((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 0))):
-        (i0, p0), (i1, p1), (i2, p2) = (corner(*slot) for slot in slots)
-        faces.append(np.stack([i0, i1, i2], axis=2).reshape(-1, 3))
-        areas.append(0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=2).ravel())
-    faces, area = np.concatenate(faces), np.concatenate(areas)
-    return np.ascontiguousarray(faces[area > DEGENERATE_FACE_AREA], dtype=np.int32)
+    Quad (i, j) has corners a = (i, j), b = (i, j + 1), c = (i + 1, j + 1) and
+    d = (i + 1, j), slices of the x, y, t planes and vertex indices padded past
+    the theta seam.  Its faces are (a, b, c), (a, c, d) if |a - c| <= |b - d|,
+    else (b, c, d), (b, d, a), all first faces first; those of area (from the
+    cross product as np.cross rounds it) <= DEGENERATE_FACE_AREA are dropped.
+    """
+    seam = np.r_[:ntheta, 0]  # column 0 again past the seam
+    planes = np.take(positions.reshape(nu, ntheta, 3).transpose(2, 0, 1), seam, axis=2)
+    index = np.take(np.arange(nu * ntheta, dtype=np.int32).reshape(nu, ntheta), seam, axis=1)
+    corners = [(index[i:nu - 1 + i, j:ntheta + j], planes[:, i:nu - 1 + i, j:ntheta + j])
+               for i, j in ((0, 0), (0, 1), (1, 1), (1, 0))]
+    (_, pa), (_, pb), (_, pc), (_, pd) = corners
+    use_ac = _norm(pa - pc) <= _norm(pb - pd)
+    faces = np.empty((2, nu - 1, ntheta, 3), dtype=np.int32)
+    keep = np.empty((2, nu - 1, ntheta), dtype=bool)
+    for k, slots in enumerate((((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 0)))):
+        for slot, (ac, bd) in enumerate(slots):
+            faces[k, :, :, slot] = np.where(use_ac, corners[ac][0], corners[bd][0])
+        p0, p1, p2 = (np.where(use_ac, corners[ac][1], corners[bd][1]) for ac, bd in slots)
+        (u0, u1, u2), (v0, v1, v2) = p1 - p0, p2 - p0
+        cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+        keep[k] = 0.5 * _norm(cross) > DEGENERATE_FACE_AREA
+    return faces.reshape(-1, 3).compress(keep.ravel(), axis=0)
 
 
 def tessellate(
@@ -108,10 +111,11 @@ def tessellate(
 
     Each theta column gets its own linearly spaced u-line starting at the
     offset lower envelope, so the mesh hugs the domain boundary uniformly.
-    Quads are split toward the shorter display-space diagonal; evaluation is
-    chunked over u-rows across a thread pool with index-ordered assembly.
-    Vertices are tagged by the sign of u - 1: the surface is space-like for
-    u > 1, time-like for u < 1 and lightlike on the fold u = 1.
+    Chunks of u-rows are evaluated across a thread pool against one theta
+    row, so terms in theta alone cost once per column and chunk; quads are
+    split toward the shorter display-space diagonal.  Vertices are tagged by
+    the sign of u - 1: space-like for u > 1, time-like for u < 1 and
+    lightlike on the fold u = 1.
     """
     nu, ntheta = grid
     if n < 2:
@@ -127,7 +131,6 @@ def tessellate(
     lo = omega_lower_bound(n, thetas) + eps
     frac = np.linspace(0.0, 1.0, nu)[:, None]
     uu = lo[None, :] + (u_max - lo[None, :]) * frac
-    tt = np.broadcast_to(thetas[None, :], (nu, ntheta))
 
     causal = np.select(
         [uu > 1.0, uu < 1.0],
@@ -138,23 +141,17 @@ def tessellate(
     workers = min(thread_cap(), nu)
 
     def fill(rows):
-        a, b = rows
         with np.errstate(over="ignore", invalid="ignore"):  # caught below
-            native[a:b] = eval_extended_grid(n, uu[a:b], tt[a:b])
+            native[rows] = eval_extended_grid(n, uu[rows], thetas[None, :])
 
     chunk = max(1, -(-nu // (4 * workers)))
-    spans = [(a, min(a + chunk, nu)) for a in range(0, nu, chunk)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, [slice(a, a + chunk) for a in range(0, nu, chunk)]))
     if not np.isfinite(native).all():
         raise ValueError(f"n={n}, u_max={u_max!r}: the surface overflows float64 on this grid")
 
     positions = native[..., _DISPLAY_ORDER].reshape(-1, 3)
-    domain = np.stack([uu.ravel(), tt.ravel()], axis=1)
+    domain = np.stack([uu, np.broadcast_to(thetas, uu.shape)], axis=2).reshape(-1, 2)
     faces = _split_quads(positions, nu, ntheta)
     return SurfaceMesh(
         n=n,

@@ -109,6 +109,36 @@ def test_mesh_rejects_overflowing_surface(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["tessellate", "export_ply"])
+def test_mesh_reports_a_grid_that_does_not_fit(tmp_path, capsys, monkeypatch, stage):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, out_of_memory)
+    out = tmp_path / "x.ply"
+    argv = ["mesh", "--n", "3", "--grid", "100000x100000" if stage == "tessellate" else "8x8",
+            "--out", str(out)]
+    assert run_expect_usage_error(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    grid = argv[argv.index("--grid") + 1]
+    assert err.rstrip("\n").splitlines()[-1] == (
+        f"zmcnoid: error: mesh: a {grid} grid does not fit in memory")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5"])
+def test_mesh_names_a_bad_thread_variable(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("ZMC_NOID_THREADS", raw)
+    out = tmp_path / "x.ply"
+    assert run_expect_usage_error(["mesh", "--n", "3", "--grid", "8x8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.rstrip("\n").splitlines()[-1] == (
+        f"zmcnoid: error: mesh: ZMC_NOID_THREADS must be a positive integer, got {raw!r}")
+    assert not out.exists()
+
+
 def test_mesh_io_error(tmp_path):
     out = str(tmp_path / "missing" / "deep" / "x.obj")
     assert run_cli(["mesh", "--n", "3", "--grid", "12x16", "--out", out]) == 3

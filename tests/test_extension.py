@@ -106,6 +106,47 @@ def test_guard_errors_name_the_point():
         assert f"<= {want[3]:g}" in str(err)
 
 
+def theta_layouts(thetas, shape):
+    # theta as its own row, as a (1, ntheta) row and broadcast to the grid
+    return thetas, thetas[None, :], np.broadcast_to(thetas, shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17])
+def test_grid_evaluation_ignores_the_theta_layout(n):
+    rng = np.random.default_rng(1204 + n)
+    thetas = np.sort(rng.uniform(0.0, 2.0 * math.pi, 48))
+    u = ext.omega_lower_bound(n, thetas) + rng.uniform(1e-3, 3.0, (16, 48))
+    want = ext.eval_extended_grid(n, u, np.tile(thetas, (16, 1)))
+    for theta in theta_layouts(thetas, u.shape):
+        assert np.array_equal(ext.eval_extended_grid(n, u, theta), want)
+    # and a scalar u against a theta row
+    assert np.array_equal(ext.eval_extended_grid(n, 2.5, thetas),
+                          ext.eval_extended_grid(n, np.full(48, 2.5), thetas))
+
+
+def test_guard_errors_name_the_same_point_for_any_theta_layout():
+    thetas = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+    u = np.full((4, 6), 2.0)
+    u[1, 0] = 1.0 + 5e-15  # theta = 0: the factor at j = 0 is 5e-15 > 0
+    for error, want in ((ext.BoundaryProximityError, (1.0 + 5e-15, 0.0, ext.LOG_FACTOR_GUARD)),
+                        (ext.OutOfDomainError, (0.1, thetas[3], 0.0))):
+        if error is ext.OutOfDomainError:
+            u[3, 1] = u[2, 3] = 0.1  # the first in C order is named
+        for theta in (*theta_layouts(thetas, u.shape), np.tile(thetas, (4, 1))):
+            with pytest.raises(error) as err:
+                ext.eval_extended_grid(3, u, theta)
+            assert type(err.value) is error
+            assert (err.value.n, err.value.u, err.value.theta, err.value.guard) == (3, *want)
+
+
+def test_points_on_the_edge_are_out_of_the_domain():
+    # a factor of exactly 0 is out, under both the domain and the log guard
+    for check in (ext.domain_factors, ext.eval_extended_grid):
+        with pytest.raises(ext.OutOfDomainError) as err:
+            check(3, np.array([2.0, 1.0]), 0.0)
+        assert (err.value.u, err.value.theta, err.value.guard) == (1.0, 0.0, 0.0)
+
+
 def test_psi_factored_matches_direct_difference():
     rng = np.random.default_rng(302)
     for n in (2, 3, 5, 8):

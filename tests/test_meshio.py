@@ -43,6 +43,14 @@ def test_thread_cap_default(monkeypatch):
     assert mio.thread_cap() >= 1
 
 
+@pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-1"])
+def test_thread_cap_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("ZMC_NOID_THREADS", raw)
+    with pytest.raises(ValueError) as err:
+        mio.thread_cap()
+    assert str(err.value) == f"ZMC_NOID_THREADS must be a positive integer, got {raw!r}"
+
+
 # ---------------------------------------------------------------------------
 # tessellation
 # ---------------------------------------------------------------------------
@@ -130,6 +138,92 @@ def test_tessellate_thread_count_invariance(monkeypatch):
     assert serial.positions.tobytes() == threaded.positions.tobytes()
     assert serial.faces.tobytes() == threaded.faces.tobytes()
     assert serial.causal.tobytes() == threaded.causal.tobytes()
+
+
+# The np.roll / np.cross quad splitter that the seam-padded planes replaced,
+# kept as the oracle: _split_quads must reproduce its faces exactly.
+
+def oracle_split_quads(positions, nu, ntheta):
+    grid = positions.reshape(nu, ntheta, 3)
+    index = np.arange(nu * ntheta).reshape(nu, ntheta)
+    pa, pd = grid[:-1], grid[1:]
+    pb, pc = np.roll(pa, -1, axis=1), np.roll(pd, -1, axis=1)
+    a, d = index[:-1], index[1:]
+    b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
+    corners = ((a, pa), (b, pb), (c, pc), (d, pd))
+    use_ac = np.linalg.norm(pa - pc, axis=2) <= np.linalg.norm(pb - pd, axis=2)
+
+    def corner(ac, bd):
+        (i_ac, p_ac), (i_bd, p_bd) = corners[ac], corners[bd]
+        return np.where(use_ac, i_ac, i_bd), np.where(use_ac[..., None], p_ac, p_bd)
+
+    faces, areas = [], []
+    for slots in (((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 0))):
+        (i0, p0), (i1, p1), (i2, p2) = (corner(*slot) for slot in slots)
+        faces.append(np.stack([i0, i1, i2], axis=2).reshape(-1, 3))
+        areas.append(0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=2).ravel())
+    faces, area = np.concatenate(faces), np.concatenate(areas)
+    return np.ascontiguousarray(faces[area > mio.DEGENERATE_FACE_AREA], dtype=np.int32)
+
+
+def assert_split_matches_oracle(positions, nu, ntheta):
+    got = mio._split_quads(positions, nu, ntheta)
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    assert np.array_equal(got, oracle_split_quads(positions, nu, ntheta))
+    return got
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-6, 1e-3, 10.0])
+@pytest.mark.parametrize("lattice", [False, True])
+def test_split_quads_matches_oracle_on_random_positions(scale, lattice):
+    # face areas go as scale^2, so 1e-7 straddles DEGENERATE_FACE_AREA; the
+    # small-integer lattice makes exact diagonal ties common, and a vertex
+    # in three at the origin collapses whole triangles
+    rng = np.random.default_rng(1203 + int(lattice))
+    nu, ntheta = 24, 40
+    if lattice:
+        positions = rng.integers(-2, 3, (nu * ntheta, 3)).astype(float)
+    else:
+        positions = rng.standard_normal((nu * ntheta, 3))
+    positions *= scale
+    positions[rng.random(nu * ntheta) < 0.3] = 0.0
+    faces = assert_split_matches_oracle(positions, nu, ntheta)
+    assert len(faces) < 2 * (nu - 1) * ntheta
+
+
+def test_split_quads_matches_oracle_on_collapsed_meshes():
+    for positions in (np.zeros((8 * 9, 3)), np.full((8 * 9, 3), 2.5)):
+        assert assert_split_matches_oracle(positions, 8, 9).shape == (0, 3)
+
+
+# SHA-256 over the positions, domain, causal and faces bytes of
+# tessellate(n, u_max, 0.02, (256, 768)), the benchmark's grid
+TESSELLATION_DIGESTS = {
+    (2, 3.0): "a30545739bd1a8edafc53df7264c0bb199aad70745eb342b2f943ba053cc22a5",
+    (3, 3.0): "4b017a2357ed64c13ea272dbc87a34ed791cb75e13fea5373d8347c28b09a0a0",
+    (5, 3.0): "230a32c6eaeff84cdf20fc320a33d3f8f4a6c9988c646a391f2322b93b70fe9d",
+    (8, 3.0): "eb4f364cd1f2981a4be0cbb233ba313ddbf80eaa3a13fd3913a0a07ad9889397",
+    (12, 3.0): "487ebc3fc23932eff6d458082dbc30f4c1737a3d2e7298dc177b20f4e6cca08e",
+    (17, 3.0): "a98f8760b7fde70d426ed70322ed121fa8ecb222cb479c2d78ae6dee35a76ae3",
+    (2, 4.0): "1d170596632efd971cdc3aca03d8e6c353c4b7e9aa24a96292845c2476bef760",
+    (3, 4.0): "395764ed0ed4e3c41c7b1b7d206dd4ec75eaf4180d69e6dda357b9493972e65c",
+    (5, 4.0): "5daffe024a7eac6a4bf23e0ee02396734d975e4f956e0d13951319a2a671ad1d",
+    (8, 4.0): "467c0afec7a69f06111dd73eb52d3aea547cdb4ef38a9a298051f1b4fe94c5d9",
+    (12, 4.0): "0e9dd1870e31d0870a3d63153a287af7915dc3f58f5135a90fccf5f142b96430",
+    (17, 4.0): "7352908f18320a13679f6727da8db7d3393cc703e45954bc2fe0c25b93c35db8",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 17])
+def test_tessellation_keeps_its_bytes(n):
+    for u_max in (3.0, 4.0):
+        mesh = mio.tessellate(n, u_max, 0.02, (256, 768))
+        digest = hashlib.sha256()
+        for array in (mesh.positions, mesh.domain, mesh.causal, mesh.faces):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == TESSELLATION_DIGESTS[n, u_max], u_max
+    # the oracle splitter gives the u_max = 4 faces too
+    assert np.array_equal(mesh.faces, oracle_split_quads(mesh.positions, 256, 768))
 
 
 # ---------------------------------------------------------------------------
