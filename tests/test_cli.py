@@ -116,12 +116,10 @@ def test_mesh_reports_a_grid_that_does_not_fit(tmp_path, capsys, monkeypatch, st
 
     monkeypatch.setattr(cli, stage, out_of_memory)
     out = tmp_path / "x.ply"
-    argv = ["mesh", "--n", "3", "--grid", "100000x100000" if stage == "tessellate" else "8x8",
-            "--out", str(out)]
-    assert run_expect_usage_error(argv) == 2
+    grid = "100000x100000" if stage == "tessellate" else "8x8"
+    assert run_expect_usage_error(["mesh", "--n", "3", "--grid", grid, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    grid = argv[argv.index("--grid") + 1]
     assert err.rstrip("\n").splitlines()[-1] == (
         f"zmcnoid: error: mesh: a {grid} grid does not fit in memory")
     assert not out.exists()
