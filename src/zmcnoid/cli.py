@@ -1,9 +1,9 @@
 """Command-line interface: mesh export, verification, level curves, recipes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-Identical argv (and seed) produce byte-identical artifacts; parallel mesh
-evaluation is capped by the ZMC_NOID_THREADS environment variable and
-assembled in index order regardless of scheduling.
+Identical argv (and seed) produce byte-identical artifacts; mesh evaluation
+and quad splitting run on a thread pool capped by the ZMC_NOID_THREADS
+environment variable, each chunk writing its own rows, whatever the schedule.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 
 # the factors u - cos(theta - 2 pi j/n) of the denominator are also the
 # arguments of the log terms of x1 and x2, hence the local name
-from .chebyshev import difference_factors as log_factors, eval_T, factor_product
+from .chebyshev import _check_degree, difference_factors as log_factors, eval_T, factor_product
 from .weierstrass import lorentz_inner
 
 LOG_FACTOR_GUARD = 1e-14
@@ -155,6 +155,7 @@ def eval_extended_grid(n: int, u, theta):
     point violates the domain or the log-factor guard.  Terms in theta alone
     are computed at theta's own shape, so a (1, ntheta) row pays once per column.
     """
+    _check_degree(max(n, 2) - 1)  # T_{n-1}, before 2^(n-1) of the n factors overflows
     ua, ta, factors = _guarded_factors(n, u, theta, LOG_FACTOR_GUARD)
     D = n * factor_product(factors)
     c = (n - 1) / n ** 2

@@ -73,31 +73,47 @@ def _norm(v):
     return np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
 
 
-def _split_quads(positions: np.ndarray, nu: int, ntheta: int) -> np.ndarray:
+def _row_chunks(rows: int) -> list[slice]:
+    """Slices of consecutive rows, about four for each worker of thread_cap()."""
+    step = -(-rows // (4 * min(thread_cap(), rows)))
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
+def _split_quads(positions: np.ndarray, nu: int, ntheta: int, map=map) -> np.ndarray:
     """Split each quad along its shorter display diagonal, dropping slivers.
 
     Quad (i, j) has corners a = (i, j), b = (i, j + 1), c = (i + 1, j + 1) and
-    d = (i + 1, j), slices of the x, y, t planes and vertex indices padded past
-    the theta seam.  Its faces are (a, b, c), (a, c, d) if |a - c| <= |b - d|,
-    else (b, c, d), (b, d, a), all first faces first; those of area (from the
-    cross product as np.cross rounds it) <= DEGENERATE_FACE_AREA are dropped.
+    d = (i + 1, j), column 0 repeated past the theta seam.  Its faces are
+    (a, b, c), (a, c, d) if |c - a| <= |d - b|, else (b, c, d), (b, d, a), all
+    first faces first, less those of area <= DEGENERATE_FACE_AREA from the cross
+    products (b - a | c - b) x (c - a | d - b) and (c - a | d - b) x (d - a | b - a)
+    as np.cross rounds them; b - a for a - b negates one exactly.  map runs
+    the row chunks of _row_chunks(nu - 1), each writing only its own rows.
     """
-    seam = np.r_[:ntheta, 0]  # column 0 again past the seam
-    planes = np.take(positions.reshape(nu, ntheta, 3).transpose(2, 0, 1), seam, axis=2)
-    index = np.take(np.arange(nu * ntheta, dtype=np.int32).reshape(nu, ntheta), seam, axis=1)
-    corners = [(index[i:nu - 1 + i, j:ntheta + j], planes[:, i:nu - 1 + i, j:ntheta + j])
-               for i, j in ((0, 0), (0, 1), (1, 1), (1, 0))]
-    (_, pa), (_, pb), (_, pc), (_, pd) = corners
-    use_ac = _norm(pa - pc) <= _norm(pb - pd)
+    grid = positions.reshape(nu, ntheta, 3).transpose(2, 0, 1)
+    seam = np.r_[:ntheta, 0].astype(np.int32)
     faces = np.empty((2, nu - 1, ntheta, 3), dtype=np.int32)
     keep = np.empty((2, nu - 1, ntheta), dtype=bool)
-    for k, slots in enumerate((((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 0)))):
-        for slot, (ac, bd) in enumerate(slots):
-            faces[k, :, :, slot] = np.where(use_ac, corners[ac][0], corners[bd][0])
-        p0, p1, p2 = (np.where(use_ac, corners[ac][1], corners[bd][1]) for ac, bd in slots)
-        (u0, u1, u2), (v0, v1, v2) = p1 - p0, p2 - p0
-        cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-        keep[k] = 0.5 * _norm(cross) > DEGENERATE_FACE_AREA
+
+    def split(rows):  # quad rows r0..r1 - 1, from vertex rows r0..r1
+        r0, r1 = rows.indices(nu - 1)[:2]
+        planes = np.take(grid[:, r0:r1 + 1], seam, axis=2)
+        index = np.arange(r0, r1 + 1, dtype=np.int32)[:, None] * ntheta + seam
+        (ia, a), (ib, b), (ic, c), (id_, d) = ((index[i:r1 - r0 + i, j:ntheta + j],
+                                                planes[:, i:r1 - r0 + i, j:ntheta + j])
+                                               for i, j in ((0, 0), (0, 1), (1, 1), (1, 0)))
+        ba, ca, cb, db = b - a, c - a, c - b, d - b
+        ac = _norm(ca) <= _norm(db)  # split along a-c
+        e0, e1, e2 = (np.where(ac, x, y) for x, y in ((ba, cb), (ca, db), (d - a, ba)))
+        for k, ((u0, u1, u2), (v0, v1, v2)) in enumerate(((e0, e1), (e1, e2))):
+            cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+            keep[k, r0:r1] = 0.5 * _norm(cross) > DEGENERATE_FACE_AREA
+        ab, bc, cd, da = (np.where(ac, x, y) for x, y in ((ia, ib), (ib, ic), (ic, id_), (id_, ia)))
+        for k, slots in enumerate(((ab, bc, cd), (ab, cd, da))):
+            for slot, corner in enumerate(slots):
+                faces[k, r0:r1, :, slot] = corner
+
+    list(map(split, _row_chunks(nu - 1)))
     return faces.reshape(-1, 3).compress(keep.ravel(), axis=0)
 
 
@@ -111,11 +127,11 @@ def tessellate(
 
     Each theta column gets its own linearly spaced u-line starting at the
     offset lower envelope, so the mesh hugs the domain boundary uniformly.
-    Chunks of u-rows are evaluated across a thread pool against one theta
-    row, so terms in theta alone cost once per column and chunk; quads are
-    split toward the shorter display-space diagonal.  Vertices are tagged by
-    the sign of u - 1: space-like for u > 1, time-like for u < 1 and
-    lightlike on the fold u = 1.
+    One thread pool takes the chunks of u-rows twice: it evaluates them against
+    one theta row, so terms in theta alone cost once per column and chunk, and
+    it splits their quads toward the shorter display-space diagonal.  Vertices
+    are tagged by the sign of u - 1: space-like for u > 1, time-like for u < 1
+    and lightlike on the fold u = 1.
     """
     nu, ntheta = grid
     if n < 2:
@@ -138,21 +154,18 @@ def tessellate(
         CausalType.LIGHTLIKE,
     ).astype(np.uint8)
     native = np.empty((nu, ntheta, 3))
-    workers = min(thread_cap(), nu)
 
     def fill(rows):
         with np.errstate(over="ignore", invalid="ignore"):  # caught below
             native[rows] = eval_extended_grid(n, uu[rows], thetas[None, :])
 
-    chunk = max(1, -(-nu // (4 * workers)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, [slice(a, a + chunk) for a in range(0, nu, chunk)]))
-    if not np.isfinite(native).all():
-        raise ValueError(f"n={n}, u_max={u_max!r}: the surface overflows float64 on this grid")
-
-    positions = native[..., _DISPLAY_ORDER].reshape(-1, 3)
+    with ThreadPoolExecutor(max_workers=min(thread_cap(), nu)) as pool:
+        list(pool.map(fill, _row_chunks(nu)))
+        if not np.isfinite(native).all():
+            raise ValueError(f"n={n}, u_max={u_max!r}: the surface overflows float64 on this grid")
+        positions = native[..., _DISPLAY_ORDER].reshape(-1, 3)
+        faces = _split_quads(positions, nu, ntheta, pool.map)
     domain = np.stack([uu, np.broadcast_to(thetas, uu.shape)], axis=2).reshape(-1, 2)
-    faces = _split_quads(positions, nu, ntheta)
     return SurfaceMesh(
         n=n,
         positions=positions,

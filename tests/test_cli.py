@@ -94,6 +94,18 @@ def test_mesh_rejects_non_finite_and_oversized_input(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mesh", "levels"])
+def test_orders_past_the_degree_cap_are_one_line_errors(tmp_path, capsys, command):
+    # n = 2000: 2^(n - 1) of the factored denominator overflows a float
+    out = tmp_path / ("x.ply" if command == "mesh" else "x.csv")
+    extra = ["--grid", "8x8"] if command == "mesh" else ["--h", "0"]
+    assert run_expect_usage_error([command, "--n", "2000", *extra, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.rstrip("\n").splitlines()
+    assert not any("Traceback" in line for line in lines)
+    assert lines[-1] == f"zmcnoid: error: {command}: degree 1999 exceeds supported cap 128"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_mesh_rejects_overflowing_surface(tmp_path, capsys):
     # both grids evaluate to NaN coordinates in float64 (112 of 192 at n = 17)

@@ -7,6 +7,7 @@ import math
 import pathlib
 import runpy
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,6 +197,46 @@ def test_split_quads_matches_oracle_on_collapsed_meshes():
         assert assert_split_matches_oracle(positions, 8, 9).shape == (0, 3)
 
 
+def test_row_chunks_partition_the_rows(monkeypatch):
+    # in order, no row twice or missing, at most four chunks a worker
+    for threads in (1, 2, 3, 64):
+        monkeypatch.setenv("ZMC_NOID_THREADS", str(threads))
+        for rows in (7, 8, 33, 255, 256):
+            chunks = mio._row_chunks(rows)
+            covered = [r for chunk in chunks for r in range(*chunk.indices(rows))]
+            assert covered == list(range(rows)), (threads, rows)
+            assert len(chunks) <= 4 * min(threads, rows), (threads, rows)
+
+
+def rechunked(base_map, nu, size):
+    # a map that runs the splitter over chunks of `size` quad rows instead of its own
+    return lambda split, _: base_map(split, [slice(a, a + size) for a in range(0, nu - 1, size)])
+
+
+def test_split_quads_does_not_depend_on_its_chunking():
+    # chunk sizes that divide nu - 1 and that do not, serial and pooled (the
+    # 8-worker pool with a short switch interval, so chunks interleave), on
+    # lattice positions with exact diagonal ties and on collapsed meshes
+    rng = np.random.default_rng(1305)
+    nu, ntheta = 40, 24
+    lattice = rng.integers(-2, 3, (nu * ntheta, 3)).astype(float)
+    lattice[rng.random(nu * ntheta) < 0.3] = 0.0
+    cases = [(lattice, nu, ntheta)] + [(np.full((8 * 9, 3), v), 8, 9) for v in (0.0, 2.5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pair, ThreadPoolExecutor(max_workers=8) as crowd:
+            for positions, nu, ntheta in cases:
+                expected = oracle_split_quads(positions, nu, ntheta)
+                for size in (1, 5, 32, nu - 1):
+                    for base_map in (map, pair.map, crowd.map):
+                        got = mio._split_quads(positions, nu, ntheta,
+                                               rechunked(base_map, nu, size))
+                        assert np.array_equal(got, expected), (nu, size, base_map)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # SHA-256 over the positions, domain, causal and faces bytes of
 # tessellate(n, u_max, 0.02, (256, 768)), the benchmark's grid
 TESSELLATION_DIGESTS = {
@@ -224,6 +265,16 @@ def test_tessellation_keeps_its_bytes(n):
         assert digest.hexdigest() == TESSELLATION_DIGESTS[n, u_max], u_max
     # the oracle splitter gives the u_max = 4 faces too
     assert np.array_equal(mesh.faces, oracle_split_quads(mesh.positions, 256, 768))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tessellation_bytes_do_not_depend_on_threads(monkeypatch, threads):
+    monkeypatch.setenv("ZMC_NOID_THREADS", threads)
+    mesh = mio.tessellate(3, 3.0, 0.02, (256, 768))
+    digest = hashlib.sha256()
+    for array in (mesh.positions, mesh.domain, mesh.causal, mesh.faces):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == TESSELLATION_DIGESTS[3, 3.0]
 
 
 # ---------------------------------------------------------------------------
