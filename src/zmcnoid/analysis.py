@@ -2,9 +2,10 @@
 
 One closed-form kernel for the u-partials and Jacobian minors
 (``surface_partials``), immersion certification, contour solving for the
-height function, level-curve assembly, monotonicity and sector certificates,
-polyline embeddedness scans, boundary-approach divergence probes, and a
-finite-difference zero-mean-curvature residual.
+height function, level-curve assembly, monotonicity and sector certificates
+decided by the signs of that kernel's contour slopes, polyline embeddedness
+scans, boundary-approach divergence probes, and a finite-difference
+zero-mean-curvature residual.
 
 Everything here consumes the domain check and the surface evaluator from
 ``extension`` and the Chebyshev kernels and factored denominator from
@@ -157,11 +158,9 @@ def contour_u(n: int, h: float, theta):
 
 def _fundamental_arc_thetas(n: int, m: int, tip_frac: float = 0.0):
     # cosine clustering: the contour has infinite slope at both endpoints.
-    # tip_frac > 0 floors the grid away from theta = 0, where strict
-    # inequality margins shrink linearly in theta but evaluation noise grows
-    # like 1/theta (the contour's u - 1 gap falls below the representation
-    # rounding of u near 1 at large h); certificates use the floor and lean
-    # on the extrapolated endpoint limit for the uncovered sliver
+    # tip_frac > 0 floors the grid away from theta = 0, where evaluation noise
+    # grows like 1/theta at large h; the certificates' sign chains cover the
+    # floored-off sliver with the exact tip limit x1 -> -h
     i = np.arange(m)
     start = tip_frac * (math.pi / n)
     return start + (math.pi / n - start) * 0.5 * (1.0 - np.cos(math.pi * (i + 0.5) / m))
@@ -243,8 +242,30 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
 
 
 # ---------------------------------------------------------------------------
-# monotonicity along the contour
+# monotonicity and sector certificates: sign chains on the contour slopes
 # ---------------------------------------------------------------------------
+
+def _arc_slopes(n: int, h: float, samples: int):
+    # the floored arc, its kernel slopes dxk/dtheta = J0k / (dx0/du), their
+    # reduced form (-sin, cos)((n-1) theta) U_{n-2} / (U_{n-1} sin(n theta)),
+    # and the signs of its four factors, all positive wherever u > cos(pi/n)
+    thetas = _fundamental_arc_thetas(n, samples, tip_frac=1e-4)
+    u = contour_u(n, h, thetas)
+    points = eval_extended_grid(n, u, thetas)
+    f_u, j01, j02 = surface_partials(n, u, thetas)
+    slopes = np.stack([j01, j02]) / f_u[:, 0]
+    u_n2, u_n1 = eval_U(n - 2, u), eval_U(n - 1, u)
+    sin_n1, sin_n = np.sin((n - 1) * thetas), np.sin(n * thetas)
+    ratio = u_n2 / u_n1 / sin_n
+    reduced = np.stack([-ratio * sin_n1, ratio * np.cos((n - 1) * thetas)])
+    positive = bool(np.all(np.stack([u_n2, u_n1, sin_n1, sin_n]) > 0.0))
+    return thetas, points, slopes, reduced, positive
+
+
+def _turns_once_at(slope, thetas, turn: float, first: float) -> bool:
+    # slope has the sign of `first` before theta = turn and the other after
+    return bool(np.all(np.sign(slope) == np.where(thetas < turn, first, -first)))
+
 
 @dataclass(frozen=True)
 class MonotonicityReport:
@@ -265,19 +286,24 @@ class MonotonicityReport:
 def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> MonotonicityReport:
     """Monotone x1 / unimodal x2 structure of the fundamental arc.
 
-    x1 strictly decreases along the arc and stays below -h; x2 rises to a
-    single maximum at theta = pi/(2(n-1)) and falls after.  The closed-form
-    along-curve derivatives are also checked against a high-order finite
-    difference on a uniform interior grid.
+    A sign chain: along x0 = h,
+
+        dx1/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta) / sin(n theta)
+        dx2/dtheta = +(U_{n-2} / U_{n-1}) cos((n-1) theta) / sin(n theta)
+
+    with every factor but cos((n-1) theta) positive on the open wedge, so x1
+    falls from its exact tip limit -h (the rational part tends to -h, the log
+    sum cancels under j <-> n - j) and x2 turns once, at pi/(2(n-1)).  It
+    passes when the factors and kernel slopes have these signs and the slopes
+    match the reduced ratios to 1e-12 relative (derivative_max_error_*).  The
+    other fields sample the arc; near the tip at large h they see rounding.
     """
     if n < 3:
         raise ValueError("monotonicity structure needs n >= 3")
     if h <= 0.0:
         raise ValueError("needs h > 0")
-    thetas = _fundamental_arc_thetas(n, grid_size, tip_frac=1e-4)
-    pts = eval_extended_grid(n, contour_u(n, h, thetas), thetas)
+    thetas, pts, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
     xs, ys = pts[:, 1], pts[:, 2]
-
     decreasing = bool(np.all(np.diff(xs) < 0.0))
     below = bool(np.all(xs < -h))
     imax = int(np.argmax(ys))
@@ -285,26 +311,10 @@ def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> Monoto
     expected = math.pi / (2.0 * (n - 1))
     iexp = int(np.argmin(np.abs(thetas - expected)))
     offset = abs(imax - iexp)
-
-    # five-point stencil on a uniform grid away from the endpoint
-    # singularities; the sqrt behavior of the contour at theta = pi/n makes
-    # lower-order differences too crude there
-    m = 2048
-    tg = np.linspace(0.05 * math.pi / n, 0.95 * math.pi / n, m)
-    step = tg[1] - tg[0]
-    ug = contour_u(n, h, tg)
-    ptsu = eval_extended_grid(n, ug, tg)
-    # along x0 = h, dxk/dtheta = J0k / (dx0/du)
-    f_u, j01, j02 = surface_partials(n, ug[2:-2], tg[2:-2])
-    errs = []
-    for col, minor in ((1, j01), (2, j02)):
-        y = ptsu[:, col]
-        fd = (-y[4:] + 8.0 * y[3:-1] - 8.0 * y[1:-3] + y[:-4]) / (12.0 * step)
-        exact = minor / f_u[:, 0]
-        errs.append(float(np.max(np.abs(fd - exact) / np.maximum(1.0, np.abs(exact)))))
-    err1, err2 = errs
-
-    ok = decreasing and below and unimodal and offset <= 2 and err1 < 1e-6 and err2 < 1e-6
+    err1, err2 = (float(e) for e in np.max(np.abs(slopes - reduced) / np.abs(reduced), axis=1))
+    ok = (positive and bool(np.all(slopes[0] < 0.0))
+          and _turns_once_at(slopes[1], thetas, expected, 1.0)
+          and err1 < 1e-12 and err2 < 1e-12)
     return MonotonicityReport(
         n=n, h=h, grid_size=grid_size,
         x1_strictly_decreasing=decreasing,
@@ -319,17 +329,12 @@ def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> Monoto
     )
 
 
-# ---------------------------------------------------------------------------
-# sector region certificate
-# ---------------------------------------------------------------------------
-
 def upsilon(n: int, u):
-    """(1 + U_{2n-2} + 2 U_{n-1}) / (2 U_{n-1}): the h-derivative of Phi."""
-    ua = np.asarray(u, dtype=float)
-    out = (1.0 + eval_U(2 * n - 2, ua) + 2.0 * eval_U(n - 1, ua)) / (
-        2.0 * eval_U(n - 1, ua)
-    )
-    return float(out) if ua.ndim == 0 else out
+    """The h-derivative of Phi, (1 + U_{2n-2} + 2 U_{n-1}) / (2 U_{n-1}).
+
+    The identity 2 T_{n-1} U_{n-1} = U_{2n-2} + 1 reduces it to 1 + T_{n-1}(u).
+    """
+    return 1.0 + eval_T(n - 1, u)
 
 
 @dataclass(frozen=True)
@@ -338,6 +343,7 @@ class RegionReport:
     h: float
     theta0: float
     arc_inside: bool
+    copies_outside: bool
     phi_min: float
     phi_argmin_cell_offset: int
     phi_at_theta0: float
@@ -345,42 +351,50 @@ class RegionReport:
     passed: bool
 
 
-def region_Dh_certificate(
-    n: int, h: float, arc_samples: int = 2000, u_cap: float = 1e3
-) -> RegionReport:
-    """Containment of the fundamental arc in its sector.
+def _in_sector(x, y, h, n):
+    c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
+    return (x < -h) & (x * c - y * s + h > 0.0)
 
-    The sector is {x < -h, x cos(2 pi/n) - y sin(2 pi/n) + h > 0}.  The
-    support line distance phi_h attains its minimum at
-    theta0 = (n-2) pi / ((n-1) n), and the minimum's positivity for every h
-    follows from upsilon > 0; both facts are checked on dense grids.
+
+def region_Dh_certificate(n: int, h: float, arc_samples: int = 2000) -> RegionReport:
+    """Containment of the fundamental arc in its sector, and of no other copy.
+
+    The sector is {x < -h, phi_h > 0}, phi_h = x cos(2 pi/n) - y sin(2 pi/n)
+    + h.  A sign chain: the arc is a graph with x1 < -h (see
+    ``curve_monotonicity_report``), and dphi_h/dtheta = -(U_{n-2} / U_{n-1})
+    sin((n-1) theta + 2 pi/n) / sin(n theta) turns from - to + only at theta0
+    = (n-2) pi / ((n-1) n), so phi_at_theta0 > 0 settles phi_h > 0.  Phi(h) =
+    phi_h(theta0) rises from 0 at the rate upsilon, increasing on u >=
+    cos(theta0) from upsilon_min = 2 sin^2(pi/n) > 0.  The rotated copies of
+    the sampled arc must miss the sector (copies_outside).
     """
     if n < 3:
         raise ValueError("sector certificate needs n >= 3")
     if h <= 0.0:
         raise ValueError("needs h > 0")
-    thetas = _fundamental_arc_thetas(n, arc_samples, tip_frac=1e-4)
-    pts = eval_extended_grid(n, contour_u(n, h, thetas), thetas)
+    thetas, pts, slopes, _, positive = _arc_slopes(n, h, arc_samples)
     xs, ys = pts[:, 1], pts[:, 2]
     c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
     phi = xs * c - ys * s + h
-    inside = bool(np.all(xs < -h) and np.all(phi > 0.0))
-
+    inside = bool(np.all(_in_sector(xs, ys, h, n)))
+    # copy tips hug the sector boundary (clearance ~ theta), hence floored nodes
+    copies_outside, copy, rot = True, pts, rotation_matrix(n)
+    for _ in range(1, n):
+        copy = copy @ rot.T
+        copies_outside &= not np.any(_in_sector(copy[:, 1], copy[:, 2], h, n))
     theta0 = (n - 2) * math.pi / ((n - 1) * n)
     imin = int(np.argmin(phi))
     iexp = int(np.argmin(np.abs(thetas - theta0)))
     p0 = eval_extended_grid(n, contour_u(n, h, theta0), theta0)
     phi0 = float(p0[1] * c - p0[2] * s + h)
-
-    lo = math.cos(theta0)
-    ug = lo + (u_cap - lo) * np.geomspace(1e-9, 1.0, 4000)
-    ups = upsilon(n, ug)
-    ups_min = float(np.min(ups))
-
-    ok = inside and abs(imin - iexp) <= 2 and phi0 > 0.0 and ups_min > 0.0
+    ups_min = upsilon(n, math.cos(theta0))
+    ok = (positive and bool(np.all(slopes[0] < 0.0))
+          and _turns_once_at(c * slopes[0] - s * slopes[1], thetas, theta0, -1.0)
+          and phi0 > 0.0 and ups_min > 0.0 and copies_outside)
     return RegionReport(
         n=n, h=h, theta0=theta0,
         arc_inside=inside,
+        copies_outside=copies_outside,
         phi_min=float(np.min(phi)),
         phi_argmin_cell_offset=abs(imin - iexp),
         phi_at_theta0=phi0,
@@ -417,31 +431,15 @@ class EmbeddednessReport:
         return asdict(self)
 
 
-def _in_sector(x, y, h, n):
-    c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
-    return (x < -h) & (x * c - y * s + h > 0.0)
-
-
 def _scan_height(n: int, h: float, samples: int, tol: float) -> HeightScan:
     xy = np.stack([c.points[:, 1:3] for c in level_curve(n, h, samples)])
     self_hits = len(polyline_self_intersections(xy[0], tol))
     # rotation carries copy a to copy a+k, so testing copy 0 against every
     # other covers all pairs
     cross_hits, min_cross = polyline_set_scan(xy[:1], xy[1:], tol)
-    # sector certificate: the mirrored slice is an isometric image, so its
-    # sector containment is the |h| statement
-    sector = bool(region_Dh_certificate(n, abs(h), arc_samples=samples).passed)
-    # copy tips run along the sector boundary with clearance ~ theta, which
-    # drops below the x-coordinate rounding noise at the unfloored tip nodes;
-    # test the rotated copies on the certificate's floored grid instead
-    ts = _fundamental_arc_thetas(n, samples, tip_frac=1e-4)
-    arc = eval_extended_grid(n, contour_u(n, abs(h), ts), ts)
-    rot = rotation_matrix(n)
-    pts = arc
-    for k in range(1, n):
-        pts = pts @ rot.T
-        if np.any(_in_sector(pts[:, 1], pts[:, 2], abs(h), n)):
-            sector = False
+    # sector certificate, rotated copies included: the mirrored slice is an
+    # isometric image, so its sector containment is the |h| statement
+    sector = region_Dh_certificate(n, abs(h), arc_samples=samples).passed
     ok = self_hits == 0 and cross_hits == 0 and sector and min_cross > 0.0
     return HeightScan(
         h=h, self_intersections=self_hits, cross_intersections=cross_hits,

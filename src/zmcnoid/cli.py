@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     levels.add_argument("--u-max", type=float, default=10.0, help="ray extent for h = 0")
     levels.add_argument("--out", required=True, help="output CSV path")
-    levels.add_argument("--format", choices=("csv",), default="csv")
 
     rep = sub.add_parser("report", help="write a markdown recipe sheet")
     rep.add_argument("--n", type=int, default=3, help="surface order used in recipes")

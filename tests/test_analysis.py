@@ -376,6 +376,50 @@ def test_theta0_matches_phi_formula():
     assert abs(rep.theta0 - 3.0 * math.pi / 20.0) < 1e-15
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sign_chains_certify_every_height(n):
+    # the verdicts are sign chains on the kernel slopes, so they hold at
+    # h = 1e3 and 1e4 too, where the sampled fields see rounding at the arc
+    # tip; up to h = 10 the sampled fields agree with them
+    for h in (0.01, 0.5, 1.0, 10.0, 100.0, 1e3, 1e4):
+        mono, region = an.curve_monotonicity_report(n, h), an.region_Dh_certificate(n, h)
+        assert mono.passed and region.passed and region.copies_outside, (n, h)
+        assert max(mono.derivative_max_error_x1, mono.derivative_max_error_x2) < 1e-15
+        if h <= 10.0:
+            assert mono.x1_strictly_decreasing and mono.x1_below_minus_h and mono.x2_unimodal
+            assert mono.x2_argmax_cell_offset <= 2 and region.phi_argmin_cell_offset <= 2
+            assert region.arc_inside and region.phi_min > 0.0
+
+
+@pytest.mark.parametrize("minor", [1, 2])
+def test_sign_chains_catch_a_flipped_minor(monkeypatch, minor):
+    kernel = an.surface_partials
+
+    def flipped(n, u, theta):
+        out = list(kernel(n, u, theta))
+        out[minor] = -out[minor]
+        return tuple(out)
+
+    monkeypatch.setattr(an, "surface_partials", flipped)
+    assert not an.curve_monotonicity_report(4, 1.0).passed
+    if minor == 1:
+        assert not an.region_Dh_certificate(4, 1.0).passed
+
+
+def test_upsilon_matches_chebyshev_quotient_oracle():
+    # (1 + U_{2n-2} + 2 U_{n-1}) / (2 U_{n-1}) reduces to 1 + T_{n-1}, which
+    # rises on u >= cos(theta0) from 2 sin^2(pi/n); worst gap measured 3.3e-13
+    for n in range(3, 20):
+        lo = math.cos((n - 2) * math.pi / ((n - 1) * n))
+        u = lo + (1e3 - lo) * np.geomspace(1e-9, 1.0, 4000)
+        want = (1.0 + eval_U(2 * n - 2, u) + 2.0 * eval_U(n - 1, u)) / (2.0 * eval_U(n - 1, u))
+        got = an.upsilon(n, u)
+        assert np.max(np.abs(got - want) / want) < 1e-12, n
+        assert np.all(np.diff(got) > 0.0), n
+        assert abs(an.upsilon(n, lo) - 2.0 * math.sin(math.pi / n) ** 2) < 1e-14, n
+    assert an.region_Dh_certificate(5, 1.0).upsilon_min == an.upsilon(5, math.cos(3 * math.pi / 20))
+
+
 # ---------------------------------------------------------------------------
 # embeddedness scans
 # ---------------------------------------------------------------------------
@@ -433,6 +477,11 @@ def test_embeddedness_slices_match_all_pairs_oracle():
         ])
         assert rec.cross_intersections == int(np.count_nonzero(d < an.SCAN_TOLERANCE))
         assert rec.min_cross_distance == float(d.min())
+
+
+def test_embeddedness_scan_certifies_large_height():
+    # the sampled sector test used to fail here on tip rounding
+    assert an.embeddedness_scan(8, [1e3]).passed
 
 
 def test_in_sector_predicate():

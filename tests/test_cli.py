@@ -106,6 +106,18 @@ def test_orders_past_the_degree_cap_are_one_line_errors(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_mesh_checks_the_degree_before_the_domain_edge(tmp_path, capsys):
+    # the domain's lower edge stacks n factors per column: about a gigabyte
+    # at n = 100000 and 768 columns, unless the degree is checked first
+    out = tmp_path / "x.ply"
+    argv = ["mesh", "--n", "100000", "--grid", "8x768", "--out", str(out)]
+    assert run_expect_usage_error(argv) == 2
+    lines = capsys.readouterr().err.rstrip("\n").splitlines()
+    assert not any("Traceback" in line for line in lines)
+    assert lines[-1] == "zmcnoid: error: mesh: degree 99999 exceeds supported cap 128"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_mesh_rejects_overflowing_surface(tmp_path, capsys):
     # both grids evaluate to NaN coordinates in float64 (112 of 192 at n = 17)
@@ -289,6 +301,14 @@ def test_levels_rays_and_dedup(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 12 * 512
+
+
+def test_levels_has_no_format_option(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["levels", "--n", "3", "--h", "1", "--format", "csv", "--out", str(out)]
+    assert run_expect_usage_error(argv) == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_levels_mixed_heights(tmp_path):

@@ -7,6 +7,7 @@ import math
 import pathlib
 import runpy
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,6 +66,18 @@ def test_tessellate_validation():
         mio.tessellate(3, u_max=1.01, eps=0.02)
     with pytest.raises(ValueError):
         mio.tessellate(3, grid=(4, 192))
+
+
+def test_tessellate_checks_the_degree_first():
+    # omega_lower_bound would stack 100000 x 768 factors before the check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="degree 99999 exceeds supported cap 128"):
+            mio.tessellate(100000, grid=(8, 768))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
 
 
 def test_tessellate_counts_and_domain(small_mesh):
