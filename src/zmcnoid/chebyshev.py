@@ -12,15 +12,15 @@ sin((n+1) arccos x)/sin(arccos x) serve as oracles in the test suite.
 On the monotone branch [cos(pi/n), inf) the map T_n is a bijection onto
 [-1, inf); ``invert_T`` computes its inverse in closed form, as
 cos(arccos(y)/n) or cosh(arccosh(y)/n), with one Newton step on the
-recurrence above y = 1.  Two classical identities used downstream are
-exposed as residual functions so they can be certified on grids:
+recurrence above y = 1.
+
+The classical factorization
 
     T_n(u) - cos(n t) = 2^(n-1) prod_j (u - cos(t - 2 pi j / n))
-    U_{2m}(x) - 1 = 2 T_{m+1}(x) U_{m-1}(x)
 
-The first is also the one evaluator of the surface denominator
-T_n(u) - cos(n t) for every module: ``difference_factors`` stacks the n
-factors, ``factor_product`` multiplies them, and ``psi`` composes the two.
+is the one evaluator of the surface denominator T_n(u) - cos(n t) for every
+module: ``difference_factors`` stacks the n factors, ``factor_product``
+multiplies them, and ``psi`` composes the two.
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ def eval_T(n: int, x):
 
 
 def eval_U(n: int, x):
-    """Evaluate U_n(x) by the three-term recurrence.
+    """Evaluate U_n(x), 0 <= n <= MAX_DEGREE, by the three-term recurrence.
 
-    U_{-1} = 0 is accepted so callers can treat degree offsets uniformly.
+    Returns float for scalar input, ndarray otherwise.
     """
-    if n == -1:
-        return 0.0 * _recurrence(0, x, 2.0)
     return _recurrence(n, x, 2.0)
 
 
@@ -143,26 +141,3 @@ def factor_product(factors):
 def psi(n: int, u, theta):
     """Denominator T_n(u) - cos(n theta), evaluated in factored form."""
     return factor_product(difference_factors(n, u, theta))
-
-
-def psi_factorization_residual(n: int, u, theta):
-    """Residual of T_n(u) - cos(n t) = 2^(n-1) prod_j (u - cos(t - 2 pi j/n)).
-
-    Returns |lhs - rhs| elementwise; the identity is exact, so the residual
-    measures only rounding.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    lhs = eval_T(n, u) - np.cos(n * np.asarray(theta, dtype=float))
-    out = np.abs(lhs - psi(n, u, theta))
-    return float(out) if out.ndim == 0 else out
-
-
-def kaw_identity_residual(m: int, x):
-    """Residual of U_{2m}(x) - 1 = 2 T_{m+1}(x) U_{m-1}(x), valid for m >= 1."""
-    if m < 1:
-        raise ValueError(f"identity holds for m >= 1, got {m}")
-    lhs = eval_U(2 * m, x)
-    rhs = 2.0 * np.asarray(eval_T(m + 1, x)) * np.asarray(eval_U(m - 1, x))
-    out = np.abs(lhs - 1.0 - rhs)
-    return float(out) if out.ndim == 0 else out

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Identical argv (and seed) produce byte-identical artifacts; mesh evaluation
-and quad splitting run on a thread pool capped by the ZMC_NOID_THREADS
-environment variable, each chunk writing its own rows, whatever the schedule.
+and quad splitting run on a thread pool with one worker for each CPU the
+process may use, each chunk writing its own rows, whatever the schedule.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .analysis import level_curve
 from .meshio import export_level_curves, export_obj, export_ply, tessellate
 from .verify import check_arguments, emit_report, report_json, run_checks
 
-USAGE_ERROR = 2
 CHECK_FAILURE = 1
 IO_ERROR = 3
 

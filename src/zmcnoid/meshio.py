@@ -35,13 +35,13 @@ _DISPLAY_ORDER = (1, 2, 0)
 
 
 def thread_cap() -> int:
-    """Worker limit for row-parallel tessellation, ZMC_NOID_THREADS wins."""
-    raw = os.environ.get("ZMC_NOID_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"ZMC_NOID_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    """Worker limit for row-parallel tessellation: the CPUs this process may use.
+
+    Where the platform reports CPU affinity, ``taskset`` or a cpuset caps it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)

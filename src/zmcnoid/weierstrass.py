@@ -297,23 +297,3 @@ def f_polar(data: JorgeMeeksData, r, theta):
     if scalar:
         return LorentzVec3(float(x0), float(x1), float(x2))
     return np.stack(np.broadcast_arrays(x0, x1, x2), axis=-1)
-
-
-def companion_minimal(data: JorgeMeeksData, z):
-    """Companion Euclidean minimal surface (Re X1, Re X2, -Im X0)."""
-    F = lift_closed_form(data, z)
-    return (F.X1.real, F.X2.real, -F.X0.imag)
-
-
-def metrics(data: JorgeMeeksData, z):
-    """Conformal factors of the Lorentzian and Euclidean induced metrics.
-
-    Returns (ds2, ds2E) = ((1 - |g|^2)^2, (1 + |g|^2)^2) |omega/dz|^2, the
-    coefficients of |dz|^2.  ds2 vanishes exactly on |z| = 1, the fold.
-    """
-    _check_punctures(data, z)
-    n = data.n
-    zc = complex(z)
-    g2 = abs(zc) ** (2 * (n - 1))
-    w2 = 1.0 / abs(zc ** n - 1.0) ** 4
-    return ((1.0 - g2) ** 2 * w2, (1.0 + g2) ** 2 * w2)

@@ -54,8 +54,12 @@ def test_chebyshev_identity_suite():
         u = rng.uniform(-1.0, 1.0, 1000)
         th = rng.uniform(0.0, 2.0 * math.pi, 1000)
         if n >= 2:
-            assert np.max(cb.psi_factorization_residual(n, u, th)) < 1e-10
-        assert np.max(cb.kaw_identity_residual(n, u)) < 1e-10
+            psi_residual = np.abs(cb.eval_T(n, u) - np.cos(n * th) - cb.psi(n, u, th))
+            assert np.max(psi_residual) < 1e-10
+        # U_{2n}(u) - 1 = 2 T_{n+1}(u) U_{n-1}(u)
+        kaw_residual = np.abs(cb.eval_U(2 * n, u) - 1.0
+                              - 2.0 * cb.eval_T(n + 1, u) * cb.eval_U(n - 1, u))
+        assert np.max(kaw_residual) < 1e-10
         if n >= 2:
             ys = np.concatenate([rng.uniform(-1.0, 1.0, 500),
                                  np.exp(rng.uniform(0.0, math.log(1e3), 500))])

@@ -181,7 +181,8 @@ def test_psi_factorization_residual_small():
     u = rng.uniform(-4, 4, 2000)
     theta = rng.uniform(0, 2 * math.pi, 2000)
     for n in range(2, 7):
-        assert np.max(cb.psi_factorization_residual(n, u, theta)) < 1e-10
+        residual = np.abs(cb.eval_T(n, u) - np.cos(n * theta) - cb.psi(n, u, theta))
+        assert np.max(residual) < 1e-10
 
 
 def test_psi_factorization_scale_relative_high_degree():
@@ -190,7 +191,8 @@ def test_psi_factorization_scale_relative_high_degree():
     theta = rng.uniform(0, 2 * math.pi, 500)
     for n in range(7, 13):
         scale = 1.0 + np.abs(cb.eval_T(n, u))
-        assert np.max(cb.psi_factorization_residual(n, u, theta) / scale) < 1e-13
+        residual = np.abs(cb.eval_T(n, u) - np.cos(n * theta) - cb.psi(n, u, theta))
+        assert np.max(residual / scale) < 1e-13
 
 
 @given(
@@ -200,17 +202,21 @@ def test_psi_factorization_scale_relative_high_degree():
 )
 @settings(max_examples=300, deadline=None)
 def test_psi_factorization_property(n, u, theta):
-    assert cb.psi_factorization_residual(n, u, theta) < 1e-10
+    assert abs(cb.eval_T(n, u) - np.cos(n * theta) - cb.psi(n, u, theta)) < 1e-10
 
 
 def test_kaw_identity_residual_small():
+    # U_{2m}(x) - 1 = 2 T_{m+1}(x) U_{m-1}(x) for m >= 1
     rng = np.random.default_rng(107)
     x = rng.uniform(-4, 4, 2000)
-    for m in range(1, 4):
-        assert np.max(cb.kaw_identity_residual(m, x)) < 1e-10
-    for m in range(4, 13):
-        scale = 1.0 + np.abs(cb.eval_U(2 * m, x))
-        assert np.max(cb.kaw_identity_residual(m, x) / scale) < 1e-13
+    for m in range(1, 13):
+        residual = np.abs(cb.eval_U(2 * m, x) - 1.0
+                          - 2.0 * cb.eval_T(m + 1, x) * cb.eval_U(m - 1, x))
+        if m < 4:
+            assert np.max(residual) < 1e-10
+        else:
+            scale = 1.0 + np.abs(cb.eval_U(2 * m, x))
+            assert np.max(residual / scale) < 1e-13
 
 
 def test_degree_cap_enforced():
@@ -218,6 +224,8 @@ def test_degree_cap_enforced():
         cb.eval_T(cb.MAX_DEGREE + 1, 0.5)
     with pytest.raises(ValueError):
         cb.eval_T(-1, 0.5)
+    with pytest.raises(ValueError):
+        cb.eval_U(-1, 0.5)
 
 
 def test_scalar_in_scalar_out():

@@ -149,18 +149,6 @@ def test_mesh_reports_a_grid_that_does_not_fit(tmp_path, capsys, monkeypatch, st
     assert not out.exists()
 
 
-@pytest.mark.parametrize("raw", ["abc", "2.5"])
-def test_mesh_names_a_bad_thread_variable(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("ZMC_NOID_THREADS", raw)
-    out = tmp_path / "x.ply"
-    assert run_expect_usage_error(["mesh", "--n", "3", "--grid", "8x8", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.rstrip("\n").splitlines()[-1] == (
-        f"zmcnoid: error: mesh: ZMC_NOID_THREADS must be a positive integer, got {raw!r}")
-    assert not out.exists()
-
-
 def test_mesh_io_error(tmp_path):
     out = str(tmp_path / "missing" / "deep" / "x.obj")
     assert run_cli(["mesh", "--n", "3", "--grid", "12x16", "--out", out]) == 3

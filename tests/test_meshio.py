@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import pathlib
 import runpy
 import sys
@@ -29,28 +30,37 @@ def small_mesh():
 # thread cap
 # ---------------------------------------------------------------------------
 
-def test_thread_cap_env_override(monkeypatch):
-    monkeypatch.setenv("ZMC_NOID_THREADS", "3")
-    assert mio.thread_cap() == 3
-
-
-def test_thread_cap_rejects_nonpositive(monkeypatch):
-    monkeypatch.setenv("ZMC_NOID_THREADS", "0")
-    with pytest.raises(ValueError):
-        mio.thread_cap()
-
-
-def test_thread_cap_default(monkeypatch):
-    monkeypatch.delenv("ZMC_NOID_THREADS", raising=False)
+def test_thread_cap_default():
     assert mio.thread_cap() >= 1
 
 
-@pytest.mark.parametrize("raw", ["abc", "2.5", "", "0", "-1"])
-def test_thread_cap_names_the_variable(monkeypatch, raw):
-    monkeypatch.setenv("ZMC_NOID_THREADS", raw)
-    with pytest.raises(ValueError) as err:
-        mio.thread_cap()
-    assert str(err.value) == f"ZMC_NOID_THREADS must be a positive integer, got {raw!r}"
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+def test_thread_cap_follows_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU gets one worker, however many the box has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert mio.thread_cap() == 1
+
+
+def test_thread_cap_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mio.thread_cap() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mio.thread_cap() == 1
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every thread pool meshio starts, in order."""
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(mio, "ThreadPoolExecutor", recording_pool)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +154,12 @@ def test_tessellate_n2_graph_relation():
     assert np.max(np.abs(t - x * np.tanh(2.0 * y))) < 1e-9
 
 
-def test_tessellate_thread_count_invariance(monkeypatch):
-    monkeypatch.setenv("ZMC_NOID_THREADS", "1")
+def test_tessellate_thread_count_invariance(monkeypatch, pool_sizes):
+    monkeypatch.setattr(mio, "thread_cap", lambda: 1)
     serial = mio.tessellate(4, grid=(16, 32))
-    monkeypatch.setenv("ZMC_NOID_THREADS", "4")
+    monkeypatch.setattr(mio, "thread_cap", lambda: 4)
     threaded = mio.tessellate(4, grid=(16, 32))
+    assert pool_sizes == [1, 4]
     assert serial.positions.tobytes() == threaded.positions.tobytes()
     assert serial.faces.tobytes() == threaded.faces.tobytes()
     assert serial.causal.tobytes() == threaded.causal.tobytes()
@@ -213,12 +224,13 @@ def test_split_quads_matches_oracle_on_collapsed_meshes():
 def test_row_chunks_partition_the_rows(monkeypatch):
     # in order, no row twice or missing, at most four chunks a worker
     for threads in (1, 2, 3, 64):
-        monkeypatch.setenv("ZMC_NOID_THREADS", str(threads))
+        monkeypatch.setattr(mio, "thread_cap", lambda: threads)
         for rows in (7, 8, 33, 255, 256):
             chunks = mio._row_chunks(rows)
             covered = [r for chunk in chunks for r in range(*chunk.indices(rows))]
             assert covered == list(range(rows)), (threads, rows)
             assert len(chunks) <= 4 * min(threads, rows), (threads, rows)
+        assert len(mio._row_chunks(256)) == 4 * threads
 
 
 def rechunked(base_map, nu, size):
@@ -280,10 +292,11 @@ def test_tessellation_keeps_its_bytes(n):
     assert np.array_equal(mesh.faces, oracle_split_quads(mesh.positions, 256, 768))
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_tessellation_bytes_do_not_depend_on_threads(monkeypatch, threads):
-    monkeypatch.setenv("ZMC_NOID_THREADS", threads)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tessellation_bytes_do_not_depend_on_threads(monkeypatch, pool_sizes, threads):
+    monkeypatch.setattr(mio, "thread_cap", lambda: threads)
     mesh = mio.tessellate(3, 3.0, 0.02, (256, 768))
+    assert pool_sizes == [threads]
     digest = hashlib.sha256()
     for array in (mesh.positions, mesh.domain, mesh.causal, mesh.faces):
         digest.update(array.tobytes())

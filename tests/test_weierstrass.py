@@ -274,21 +274,22 @@ def test_polar_scalar_returns_named_tuple():
 
 
 # ---------------------------------------------------------------------------
-# companion surface and metrics
+# companion Euclidean minimal surface (Re X1, Re X2, -Im X0) of the lift
 # ---------------------------------------------------------------------------
 
 def test_companion_base_value():
     # X0(0) = 2i/(n * (0 - 1)) makes the height exactly 2/n; the horizontal
     # components vanish because the base-point logs are purely imaginary
     for n in (2, 3, 5):
-        e = ws.companion_minimal(ws.JorgeMeeksData(n), 0j)
-        assert abs(e[0]) < 1e-13
-        assert abs(e[1]) < 1e-13
-        assert abs(e[2] - 2.0 / n) < 1e-13
+        F = ws.lift_closed_form(ws.JorgeMeeksData(n), 0j)
+        assert abs(F.X1.real) < 1e-13
+        assert abs(F.X2.real) < 1e-13
+        assert abs(-F.X0.imag - 2.0 / n) < 1e-13
 
 
 def test_companion_regular_on_fold_circle():
-    e = ws.companion_minimal(ws.JorgeMeeksData(3), np.exp(0.5j))
+    F = ws.lift_closed_form(ws.JorgeMeeksData(3), np.exp(0.5j))
+    e = (F.X1.real, F.X2.real, -F.X0.imag)
     assert all(math.isfinite(c) for c in e)
     assert np.linalg.norm(e) < 10.0
 
@@ -297,30 +298,10 @@ def test_companion_grows_near_end():
     # simple pole of the lift at the end: norm ~ 2/(n^2 d) at distance d,
     # so the 10 threshold is reached around d = 0.02
     data = ws.JorgeMeeksData(3)
-    norms = [np.linalg.norm(ws.companion_minimal(data, s * data.zeta))
-             for s in (0.9, 0.95, 0.98)]
+    lifts = [ws.lift_closed_form(data, s * data.zeta) for s in (0.9, 0.95, 0.98)]
+    norms = [np.linalg.norm((F.X1.real, F.X2.real, -F.X0.imag)) for F in lifts]
     assert norms[0] < norms[1] < norms[2]
     assert norms[2] > 10.0
-
-
-def test_metrics_vanish_on_fold():
-    data = ws.JorgeMeeksData(3)
-    ds2, ds2E = ws.metrics(data, 1j)
-    assert ds2 == 0.0
-    assert ds2E > 0.0
-    ds2, _ = ws.metrics(data, 0.6 + 0.8j)
-    assert ds2 < 1e-28
-
-
-def test_metrics_n2_origin():
-    ds2, ds2E = ws.metrics(ws.JorgeMeeksData(2), 0j)
-    assert abs(ds2 - 1.0) < 1e-15
-    assert abs(ds2E - 1.0) < 1e-15
-
-
-def test_metrics_ordering():
-    ds2, ds2E = ws.metrics(ws.JorgeMeeksData(4), 0.5 * np.exp(1j))
-    assert 0.0 < ds2 < ds2E
 
 
 # ---------------------------------------------------------------------------
