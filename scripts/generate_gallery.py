@@ -13,6 +13,7 @@ import argparse
 import pathlib
 
 from zmcnoid.analysis import level_curve
+from zmcnoid.cli import parse_grid
 from zmcnoid.meshio import export_level_curves, export_obj, export_ply, tessellate
 
 MESH_ORDERS = (2, 3, 4, 6, 17)
@@ -22,18 +23,22 @@ LEVEL_ORDERS = (3, 4, 6)
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="gallery", help="output directory")
-    parser.add_argument("--grid", default="64x192", help="mesh grid as NUxNT")
+    parser.add_argument("--grid", type=parse_grid, default="64x192", help="mesh grid as NUxNT")
     args = parser.parse_args()
-    nu, ntheta = (int(p) for p in args.grid.lower().split("x"))
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    def surface(n, u_max):
+        try:
+            return tessellate(n, u_max=u_max, eps=0.02, grid=args.grid)
+        except ValueError as exc:
+            parser.error(str(exc))
+
     for n in MESH_ORDERS:
-        mesh = tessellate(n, u_max=4.0, eps=0.02, grid=(nu, ntheta))
+        mesh = surface(n, 4.0)
         export_ply(mesh, str(out / f"noid{n}.ply"))
         print(f"noid{n}.ply: {mesh.vertex_count} vertices, {mesh.face_count} faces")
-    mesh3 = tessellate(3, u_max=3.0, eps=0.02, grid=(nu, ntheta))
-    export_obj(mesh3, str(out / "noid3.obj"))
+    export_obj(surface(3, 3.0), str(out / "noid3.obj"))
     print("noid3.obj + causal sidecar")
 
     for n in LEVEL_ORDERS:

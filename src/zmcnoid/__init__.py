@@ -8,7 +8,7 @@ properness), and exports meshes plus machine-readable verification reports.
 
 Module map:
 
-- ``chebyshev``    recurrence evaluation and closed-form monotone inverse
+- ``chebyshev``    recurrence evaluation, closed-form inverse, the order rule
 - ``quadrature``   adaptive Gauss-Kronrod contour integration
 - ``weierstrass``  holomorphic data, closed-form lift, polar surface
 - ``extension``    extended surface on the (u, theta) domain, isometry group

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebyshev import eval_T, eval_U, factor_product, invert_T, psi
+from .chebyshev import check_order, eval_T, eval_U, factor_product, invert_T, psi
 from .extension import (
     domain_factors,
     eval_extended_grid,
@@ -146,6 +146,7 @@ def contour_u(n: int, h: float, theta):
 
     The solution u of x0(u, theta) = h for theta in (0, pi/n), h > 0.
     """
+    check_order(n, 2)
     if h <= 0.0:
         raise ValueError("contour_u needs h > 0; use mirror symmetry for h < 0")
     ta = np.asarray(theta, dtype=float)
@@ -191,10 +192,9 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
     from just above its lower endpoint (1 for even rays, cos(pi/n) for odd)
     up to u_max, geometrically clustered toward the divergent end.
     """
+    check_order(n, 2)
     if samples < 16:
         raise ValueError("need at least 16 samples per curve")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     if not math.isfinite(h):
         raise ValueError(f"height must be finite, got {h}")
     if not math.isfinite(u_max):
@@ -298,8 +298,7 @@ def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> Monoto
     match the reduced ratios to 1e-12 relative (derivative_max_error_*).  The
     other fields sample the arc; near the tip at large h they see rounding.
     """
-    if n < 3:
-        raise ValueError("monotonicity structure needs n >= 3")
+    check_order(n, 3)
     if h <= 0.0:
         raise ValueError("needs h > 0")
     thetas, pts, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
@@ -334,6 +333,7 @@ def upsilon(n: int, u):
 
     The identity 2 T_{n-1} U_{n-1} = U_{2n-2} + 1 reduces it to 1 + T_{n-1}(u).
     """
+    check_order(n, 3)
     return 1.0 + eval_T(n - 1, u)
 
 
@@ -368,8 +368,7 @@ def region_Dh_certificate(n: int, h: float, arc_samples: int = 2000) -> RegionRe
     cos(theta0) from upsilon_min = 2 sin^2(pi/n) > 0.  The rotated copies of
     the sampled arc must miss the sector (copies_outside).
     """
-    if n < 3:
-        raise ValueError("sector certificate needs n >= 3")
+    check_order(n, 3)
     if h <= 0.0:
         raise ValueError("needs h > 0")
     thetas, pts, slopes, _, positive = _arc_slopes(n, h, arc_samples)
@@ -487,8 +486,7 @@ def embeddedness_scan(
     pairwise disjoint, and miss the origin (their common limit).  Any hit
     is counted; a clean report is the embeddedness evidence.
     """
-    if n < 3:
-        raise ValueError("embeddedness scan needs n >= 3")
+    check_order(n, 3)
     tol = check_tolerance(tol)
     heights = list(heights)
     if not heights:
@@ -544,8 +542,7 @@ def properness_probe(n: int, theta_target: float, approach_samples: int) -> Prop
     at the gap 1.05e-12 (CORNER_LOG_GAP_FLOOR) and uses the direct
     evaluator.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_order(n, 2)
     if approach_samples < 32:
         raise ValueError("need at least 32 approach samples")
     wedge = math.pi / n
@@ -615,6 +612,7 @@ def contour_endpoint_limits(n: int, h: float, levels: int = 8) -> ContourEndpoin
     Shrinking theta much below pi/n * 1e-2 buys nothing: cancellation noise
     in x1 grows like h^2 n^2 eps / theta and floors the achievable error.
     """
+    check_order(n, 2)
     wedge = math.pi / n
     th = wedge * 1e-2 * 2.0 ** (-np.arange(levels))
     u0 = neville_to_zero(th, contour_u(n, h, th))

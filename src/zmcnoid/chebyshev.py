@@ -44,6 +44,12 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds supported cap {MAX_DEGREE}")
 
 
+def check_order(n: int, least: int) -> None:
+    """Raise ValueError naming n unless the order n is an integer >= least."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"order n must be an integer >= {least}, got {n!r}")
+
+
 def _recurrence(n: int, x, first: float):
     """P_n(x) for P_0 = 1, P_1 = first * x and P_{k+1} = 2 x P_k - P_{k-1}.
 
@@ -101,8 +107,7 @@ def invert_T(n: int, y):
     Returns:
         float for scalar input, ndarray otherwise.
     """
-    if n < 2:
-        raise ValueError(f"invert_T needs n >= 2, got {n}")
+    check_order(n, 2)
     ya = np.asarray(y, dtype=float)
     if np.any(ya < -1.0):
         raise ValueError("invert_T: T_n on the monotone branch never goes below -1")
@@ -118,6 +123,7 @@ def difference_factors(n: int, u, theta):
 
     Stacked on a leading axis, over the broadcast shape of u and theta.
     """
+    check_order(n, 1)
     ua = np.asarray(u, dtype=float)
     ta = np.asarray(theta, dtype=float)
     shifts = 2.0 * math.pi * np.arange(n) / n

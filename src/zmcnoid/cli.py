@@ -13,6 +13,7 @@ import math
 import sys
 
 from .analysis import level_curve
+from .chebyshev import check_order
 from .meshio import export_level_curves, export_obj, export_ply, tessellate
 from .verify import check_arguments, emit_report, report_json, run_checks
 
@@ -20,7 +21,7 @@ CHECK_FAILURE = 1
 IO_ERROR = 3
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def parse_grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"grid must look like 64x192, got {text!r}")
@@ -56,14 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     mesh.add_argument("--n", type=int, required=True, help="surface order, >= 2")
     mesh.add_argument("--u-max", type=float, default=4.0, help="radial truncation")
     mesh.add_argument("--eps", type=float, default=0.02, help="boundary offset")
-    mesh.add_argument("--grid", type=_parse_grid, default=(64, 192), metavar="NUxNT")
-    mesh.add_argument("--out", required=True, help="output path")
-    mesh.add_argument("--format", choices=("obj", "ply"), help="default from --out suffix")
+    mesh.add_argument("--grid", type=parse_grid, default=(64, 192), metavar="NUxNT")
+    mesh.add_argument("--out", required=True, help="output path ending in .obj or .ply")
 
     ver = sub.add_parser("verify", help="run the registered invariant checks")
     ver.add_argument("--n", type=int, help="restrict surface checks to this order")
     ver.add_argument("--seed", type=int, default=0, help="PCG64 sampling seed")
-    ver.add_argument("--out", help="write the JSON report here instead of stdout")
+    ver.add_argument("--out", help="write the JSON report here and print a residual table")
     ver.add_argument(
         "--tol", type=_parse_tol, action="append", default=[], metavar="NAME=VALUE",
         help="override a residual tolerance by check id (repeatable)",
@@ -87,17 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mesh(args, parser) -> int:
-    fmt = args.format
-    if fmt is None:
-        suffix = args.out.rsplit(".", 1)[-1].lower() if "." in args.out else ""
-        if suffix not in ("obj", "ply"):
-            parser.error("--format required when --out has no .obj/.ply suffix")
-        fmt = suffix
+    suffix = args.out[-4:].lower()
+    if suffix not in (".obj", ".ply"):
+        parser.error(f"mesh: --out must end in .obj or .ply, got {args.out!r}")
     try:
         mesh = tessellate(args.n, u_max=args.u_max, eps=args.eps, grid=args.grid)
-        (export_obj if fmt == "obj" else export_ply)(mesh, args.out)
-    except ValueError as exc:
-        parser.error(f"mesh: {exc}")
+        (export_obj if suffix == ".obj" else export_ply)(mesh, args.out)
     except MemoryError:
         parser.error("mesh: a {}x{} grid does not fit in memory".format(*args.grid))
     print(f"{args.out}: {mesh.vertex_count} vertices, {mesh.face_count} faces")
@@ -109,7 +104,7 @@ def _cmd_verify(args, parser) -> int:
     overrides = dict(args.tol)
     try:
         check_arguments(ns=ns, tol_overrides=overrides, seed=args.seed)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         parser.error(f"verify: {exc.args[0]}")
     timings = {} if args.timings else None
     report = run_checks(seed=args.seed, ns=ns, tol_overrides=overrides, timings=timings)
@@ -117,6 +112,10 @@ def _cmd_verify(args, parser) -> int:
         print(f"{check_id}: {seconds:.3f} s", file=sys.stderr)
     if args.out:
         emit_report(report, args.out)
+        width = max(len(c.name) for c in report.checks)
+        for c in report.checks:
+            print(f"{c.name:<{width}}  n={c.n:<3} measured={c.measured:12.5e} "
+                  f"tol={c.tolerance:9.2e}  {'ok' if c.passed else 'FAIL'}")
         summary = report.summary()
         print(f"{args.out}: {summary['passed']}/{summary['total']} checks passed")
     else:
@@ -125,17 +124,13 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_levels(args, parser) -> int:
-    if args.n < 3:
-        parser.error(f"--n must be >= 3 for level curves, got {args.n}")
     if args.u_max <= 1.0:
         parser.error(f"--u-max must exceed 1, got {args.u_max}")
+    check_order(args.n, 3)
     curves = []
-    try:
-        for h in dict.fromkeys(args.h):
-            curves.extend(level_curve(args.n, h, 512, u_max=args.u_max))
-        export_level_curves(curves, args.out)
-    except ValueError as exc:
-        parser.error(f"levels: {exc}")
+    for h in dict.fromkeys(args.h):
+        curves.extend(level_curve(args.n, h, 512, u_max=args.u_max))
+    export_level_curves(curves, args.out)
     print(f"{args.out}: {len(curves)} curves")
     return 0
 
@@ -152,8 +147,8 @@ of them with the same flags reproduces the output byte for byte.
 
 Binary PLY with per-vertex causal tags (0 spacelike, 1 lightlike,
 2 timelike); u > 1 maps to the space-like sheet, u < 1 to the time-like
-sheet inside the fold.  Use `--format obj` (plus a `.causal.csv` sidecar)
-for ASCII tooling.
+sheet inside the fold.  An `.obj` path writes ASCII OBJ instead, plus a
+`.causal.csv` sidecar.
 
 ## Wide truncation of the same surface
 
@@ -183,8 +178,7 @@ single residual bound.
 
 
 def _cmd_report(args, parser) -> int:
-    if args.n < 2:
-        parser.error(f"--n must be >= 2, got {args.n}")
+    check_order(args.n, 2)
     text = _REPORT_TEMPLATE.format(n=args.n, two_n=2 * args.n)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -208,6 +202,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_ERROR

@@ -30,9 +30,10 @@ from enum import IntEnum
 
 import numpy as np
 
+from .chebyshev import _check_degree, check_order, eval_T, factor_product
 # the factors u - cos(theta - 2 pi j/n) of the denominator are also the
 # arguments of the log terms of x1 and x2, hence the local name
-from .chebyshev import _check_degree, difference_factors as log_factors, eval_T, factor_product
+from .chebyshev import difference_factors as log_factors
 from .weierstrass import lorentz_inner
 
 LOG_FACTOR_GUARD = 1e-14
@@ -69,8 +70,16 @@ class CausalType(IntEnum):
 
 
 def omega_lower_bound(n: int, theta):
-    """max_j cos(theta - 2 pi j / n): the lower edge of Omega_n over theta."""
-    out = -log_factors(n, 0.0, theta).min(axis=0)
+    """max_j cos(theta - 2 pi j / n): the lower edge of Omega_n over theta.
+
+    Taken over the two spokes around theta, with the shifts 2 pi j/n that
+    ``difference_factors`` forms, so it equals the max over all n of them.
+    """
+    check_order(n, 2)
+    ta = np.asarray(theta, dtype=float)
+    j = np.floor(ta / (2.0 * math.pi / n)) % n
+    out = np.maximum(np.cos(ta - 2.0 * math.pi * j / n),
+                     np.cos(ta - 2.0 * math.pi * ((j + 1.0) % n) / n))
     return float(out) if out.ndim == 0 else out
 
 
@@ -81,6 +90,7 @@ def domain_factors(n: int, u, theta):
     leading axis, cosines taken at theta's own shape.  Raises OutOfDomainError
     unless every point lies in Omega_n, that is unless every factor is > 0.
     """
+    check_order(n, 2)
     ua, ta, factors = _guarded_factors(n, u, theta, 0.0)
     return (*np.broadcast_arrays(ua, ta), factors)
 
@@ -88,8 +98,6 @@ def domain_factors(n: int, u, theta):
 def _guarded_factors(n, u, theta, guard):
     # (u, theta) at their own shapes and the log factors, all > guard; else the
     # first point with a factor <= 0, failing that <= guard, is named
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     ua, ta = np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     factors = log_factors(n, ua, ta)
     if (factors <= guard).any():
@@ -117,8 +125,7 @@ def x2_log_gap(n: int, log_gap, theta):
     result stays finite and accurate when e^log_gap underflows to 0, where
     x2 = ((n-1)/n^2) log_gap + R(0).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_order(n, 2)
     la, ta = np.broadcast_arrays(
         np.asarray(log_gap, dtype=float), np.asarray(theta, dtype=float)
     )
@@ -155,7 +162,8 @@ def eval_extended_grid(n: int, u, theta):
     point violates the domain or the log-factor guard.  Terms in theta alone
     are computed at theta's own shape, so a (1, ntheta) row pays once per column.
     """
-    _check_degree(max(n, 2) - 1)  # T_{n-1}, before 2^(n-1) of the n factors overflows
+    check_order(n, 2)
+    _check_degree(n - 1)  # T_{n-1}, before 2^(n-1) of the n factors overflows
     ua, ta, factors = _guarded_factors(n, u, theta, LOG_FACTOR_GUARD)
     D = n * factor_product(factors)
     c = (n - 1) / n ** 2
@@ -225,6 +233,7 @@ def causal_type_grid(n: int, u, theta, fd_step=None):
 
 def rotation_matrix(n: int) -> np.ndarray:
     """Rotation R by 2 pi / n about the t-axis (display-plane rotation)."""
+    check_order(n, 2)
     c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
@@ -243,8 +252,6 @@ def group_elements(n: int) -> list[np.ndarray]:
 
     Every matrix is checked to preserve the Lorentz form to 1e-13.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     R = rotation_matrix(n)
     S = reflection_matrix()
     elements = []
@@ -267,11 +274,11 @@ def fold_to_fundamental(n: int, theta):
     Array theta gives theta' of the same shape and g of shape theta.shape +
     (3, 3); scalar theta gives a float and one 3x3 matrix.
     """
+    R = rotation_matrix(n)
     period = 2.0 * math.pi / n
     th = np.asarray(theta, dtype=float) % (2.0 * math.pi)
     k = np.floor(th / period)
     delta = th - k * period
-    R = rotation_matrix(n)
     turns = np.stack([np.linalg.matrix_power(R, j) for j in range(n)])
     flips = np.stack([m @ R @ reflection_matrix() for m in turns])
     reflect = delta > math.pi / n

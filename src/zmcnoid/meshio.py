@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebyshev import _check_degree
 from .extension import CausalType, eval_extended_grid, omega_lower_bound
 
 DEGENERATE_FACE_AREA = 1e-14
@@ -135,9 +134,6 @@ def tessellate(
     and lightlike on the fold u = 1.
     """
     nu, ntheta = grid
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    _check_degree(n - 1)  # T_{n-1}, before omega_lower_bound stacks n factors per column
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"boundary offset must be positive and finite, got {eps}")
     if not (math.isfinite(u_max) and u_max > 1.0 + eps):

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .chebyshev import check_order
 from .quadrature import integrate_polyline
 
 PUNCTURE_GUARD = 1e-12
@@ -94,12 +95,7 @@ class JorgeMeeksData:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"surface order must be an integer >= 2, got {self.n!r}")
-
-    @property
-    def zeta(self) -> complex:
-        return complex(math.cos(2 * math.pi / self.n), math.sin(2 * math.pi / self.n))
+        check_order(self.n, 2)
 
     @property
     def punctures(self) -> np.ndarray:

@@ -1,12 +1,20 @@
-"""Chebyshev recurrence versus independent trig/hyperbolic oracles."""
+"""Chebyshev recurrence versus independent trig/hyperbolic oracles, and the order rule."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zmcnoid
+from zmcnoid import analysis as an
 from zmcnoid import chebyshev as cb
+from zmcnoid import extension as ext
+from zmcnoid import meshio as mio
+from zmcnoid import weierstrass as ws
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +241,48 @@ def test_scalar_in_scalar_out():
     assert isinstance(cb.eval_U(5, 0.3), float)
     assert isinstance(cb.invert_T(4, 2.0), float)
     assert isinstance(cb.eval_T(5, np.linspace(0, 1, 4)), np.ndarray)
+
+
+# ---------------------------------------------------------------------------
+# the order rule: every public entry that takes an order n checks it
+# ---------------------------------------------------------------------------
+
+ORDER_ENTRIES = {
+    cb.difference_factors: (1, 1.0, 0.5), cb.psi: (1, 1.0, 0.5), cb.invert_T: (2, 0.5),
+    ext.omega_lower_bound: (2, 0.5), ext.domain_factors: (2, 2.0, 0.5),
+    ext.x2_log_gap: (2, -1.0, 0.1), ext.eval_extended_grid: (2, 2.0, 0.5),
+    ext.first_partials_grid: (2, 2.0, 0.5), ext.first_fundamental_grid: (2, 2.0, 0.5),
+    ext.causal_type_grid: (2, 2.0, 0.5), ext.rotation_matrix: (2,),
+    ext.group_elements: (2,), ext.fold_to_fundamental: (2, 0.5),
+    an.surface_partials: (2, 2.0, 0.5), an.immersion_certificate: (2, an.GridSpec(1.5, 2.0, 4)),
+    an.contour_u: (2, 1.0, 0.1), an.level_curve: (2, 1.0, 16),
+    an.properness_probe: (2, 0.1, 32), an.contour_endpoint_limits: (2, 1.0),
+    an.mean_curvature_residual: (2, 2.0, 0.5), an.zmc_verification_grid: (2,),
+    an.curve_monotonicity_report: (3, 1.0), an.upsilon: (3, 1.0),
+    an.region_Dh_certificate: (3, 1.0), an.embeddedness_scan: (3, [1.0], 64),
+    mio.tessellate: (2, 3.0, 0.02, (8, 8)), ws.JorgeMeeksData: (2,),
+}
+# functions whose n is a polynomial degree; _check_degree holds their rule
+DEGREE_ENTRIES = {cb.eval_T, cb.eval_U, cb.eval_T_derivative}
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRIES, ids=lambda f: f.__qualname__)
+def test_order_entries_share_one_rule(entry):
+    least, *args = ORDER_ENTRIES[entry]
+    entry(least, *args)
+    for bad in (least - 1, 2.5):
+        message = f"^order n must be an integer >= {least}, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            entry(bad, *args)
+
+
+def test_the_order_table_lists_every_function_that_takes_n():
+    takes_n = set()
+    for info in pkgutil.iter_modules(zmcnoid.__path__):
+        module = importlib.import_module(f"zmcnoid.{info.name}")
+        takes_n.update(
+            f for name, f in vars(module).items()
+            if inspect.isfunction(f) and not name.startswith("_")
+            and f.__module__ == module.__name__
+            and list(inspect.signature(f).parameters)[:1] == ["n"])
+    assert takes_n == set(ORDER_ENTRIES) - {ws.JorgeMeeksData} | DEGREE_ENTRIES | {cb.check_order}

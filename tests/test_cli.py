@@ -45,12 +45,20 @@ def test_mesh_ply_from_suffix(tmp_path):
     assert faces.shape[0] > 0
 
 
-def test_mesh_explicit_format_overrides_suffix(tmp_path):
-    out = str(tmp_path / "mesh.dat")
-    assert run_cli(["mesh", "--n", "3", "--grid", "12x16", "--out", out,
-                    "--format", "obj"]) == 0
-    verts, _ = read_obj(out)
-    assert verts.shape[0] == 12 * 16
+def test_mesh_has_no_format_option(tmp_path, capsys):
+    out = tmp_path / "x.obj"
+    assert run_expect_usage_error(["mesh", "--n", "3", "--format", "obj", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --format obj" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["x.dat", "x.obj.bak", "noext"])
+def test_mesh_takes_its_format_from_the_out_suffix(tmp_path, capsys, name):
+    out = str(tmp_path / name)
+    assert run_expect_usage_error(["mesh", "--n", "3", "--grid", "8x8", "--out", out]) == 2
+    assert capsys.readouterr().err.rstrip("\n").splitlines()[-1] == (
+        f"zmcnoid: error: mesh: --out must end in .obj or .ply, got {out!r}")
+    assert not list(tmp_path.iterdir())
 
 
 def test_mesh_large_order(tmp_path):
@@ -216,6 +224,23 @@ def test_verify_out_file(tmp_path, capsys):
     assert blob.startswith(b'{"suite": "verify"')
     assert not blob.endswith(b"\n")
     assert "checks passed" in capsys.readouterr().out
+
+
+def test_verify_out_prints_a_residual_row_per_record(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--n", "3", "--seed", "1", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = verify.run_checks(seed=1, ns=[3])
+    assert out.read_text(encoding="utf-8") == verify.report_json(report)
+    assert len(lines) == len(report.checks) + 1 == 62
+    for line, record in zip(lines, report.checks):
+        row = re.fullmatch(r"(\S+) +n=(\d+) +measured= *(\S+) tol= *(\S+)  (ok|FAIL)", line)
+        assert row, line
+        name, order, measured, tol, verdict = row.groups()
+        assert (name, int(order), verdict) == (record.name, record.n, "ok")
+        assert float(measured) == float(f"{record.measured:.5e}")
+        assert float(tol) == float(f"{record.tolerance:.2e}")
+    assert lines[-1] == f"{out}: 61/61 checks passed"
 
 
 def test_verify_failure_exit_code(capsys):

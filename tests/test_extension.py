@@ -34,6 +34,20 @@ def test_in_omega_admits_u_equal_one_off_spokes():
     assert not 1.0 > ext.omega_lower_bound(3, 0.0)
 
 
+def test_omega_lower_bound_equals_the_max_over_every_spoke():
+    # the closed form reads two spokes; the oracle stacks all n cosines
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 5, 8, 17, 64, 129):
+        spokes = 2.0 * math.pi * np.arange(n) / n
+        theta = np.concatenate([
+            2.0 * math.pi * np.arange(768) / 768, rng.uniform(0.0, 2.0 * math.pi, 2000),
+            rng.uniform(-20.0, 20.0, 2000), spokes + math.pi / n,
+            spokes, np.nextafter(spokes, np.inf), np.nextafter(spokes, -np.inf),
+        ])
+        stack = np.cos(theta - spokes[:, None]).max(axis=0)
+        assert np.array_equal(ext.omega_lower_bound(n, theta), stack), n
+
+
 def test_omega_lower_bound_scalar_and_array():
     assert abs(ext.omega_lower_bound(2, 0.0) - 1.0) < 1e-15
     vals = ext.omega_lower_bound(4, np.array([0.0, math.pi / 4]))

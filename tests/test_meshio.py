@@ -673,6 +673,19 @@ GALLERY_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("grid", ["abc", "4x4"])
+def test_gallery_rejects_a_bad_grid_in_one_line(tmp_path, monkeypatch, capsys, grid):
+    out = tmp_path / "gallery"
+    monkeypatch.setattr(sys, "argv", [str(GALLERY_SCRIPT), "--out", str(out), "--grid", grid])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(GALLERY_SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.splitlines()[-1] and grid in err.splitlines()[-1]
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 def test_gallery_keeps_its_bytes(tmp_path, monkeypatch):
     out = tmp_path / "gallery"
     monkeypatch.setattr(sys, "argv", [str(GALLERY_SCRIPT), "--out", str(out),

@@ -7,6 +7,11 @@ ending in ``m.f``, a bare ``f`` inside module m outside f's own body, or an
 ``m.f`` in the README's "Public API" section, with the reason it stays.
 Names are resolved to modules because a bare name match would let any local
 variable of the same name stand in for a library function.
+
+The public methods and properties of public classes are held to the same
+rule: each must be read as ``.name`` in those folders, or be listed as
+``m.C.name``.  Their owners' types are not resolved, so any read of the
+attribute name counts.  Dataclass fields are data and stay out of scope.
 """
 
 import ast
@@ -28,6 +33,15 @@ def public_names(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return {name for name in names if not name.startswith("_")}
+
+
+def public_members(tree):
+    """"C.f" for the public methods and properties of top-level public classes."""
+    return {f"{cls.name}.{node.name}" for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
 
 
 def module_aliases(tree):
@@ -85,28 +99,44 @@ def target_keys():
 
 
 def readme_public_api():
-    """The ``m.f`` names listed in the README's Public API section."""
+    """The ``m.f`` and ``m.C.f`` names listed in the README's Public API section."""
     text = (ROOT / "README.md").read_text()
     match = re.search(r"^## Public API\n(.*?)(?=^## |\Z)", text, re.M | re.S)
     assert match, "README.md has no '## Public API' section"
-    return set(re.findall(r"`(\w+)\.(\w+)`", match.group(1)))
+    return set(re.findall(r"`(\w+)\.(\w+(?:\.\w+)?)`", match.group(1)))
+
+
+def caller_files():
+    """(module or None, tree) for src/zmcnoid, scripts/ and perfbench/, tests aside."""
+    for path in PACKAGE.glob("*.py"):
+        yield (path.stem if path.stem in MODULES else None), ast.parse(path.read_text())
+    for folder in ("scripts", "perfbench"):
+        for path in (ROOT / folder).glob("*.py"):
+            if not path.name.startswith("test_"):
+                yield None, ast.parse(path.read_text())
 
 
 def used_names():
     used = target_keys()
-    for path in PACKAGE.glob("*.py"):
-        module = path.stem if path.stem in MODULES else None
-        used |= references(ast.parse(path.read_text()), module)
-    for folder in ("scripts", "perfbench"):
-        for path in (ROOT / folder).glob("*.py"):
-            if not path.name.startswith("test_"):
-                used |= references(ast.parse(path.read_text()))
+    for module, tree in caller_files():
+        used |= references(tree, module)
     return used
+
+
+def read_attributes():
+    """Every attribute name the caller files read."""
+    return {node.attr for _, tree in caller_files() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def defined_names():
     return {(m, name) for m in MODULES
             for name in public_names(ast.parse((PACKAGE / f"{m}.py").read_text()))}
+
+
+def defined_members():
+    return {(m, member) for m in MODULES
+            for member in public_members(ast.parse((PACKAGE / f"{m}.py").read_text()))}
 
 
 def test_every_public_name_is_used_or_documented():
@@ -115,8 +145,23 @@ def test_every_public_name_is_used_or_documented():
         + ", ".join(sorted(f"{m}.{f}" for m, f in unused))
 
 
+def test_every_public_member_is_read_or_documented():
+    read = read_attributes()
+    unread = {(m, member) for m, member in defined_members()
+              if member.split(".")[1] not in read} - readme_public_api()
+    assert not unread, "never read as .name in src/, scripts/ or perfbench/, and not in " \
+        "README Public API: " + ", ".join(sorted(f"{m}.{f}" for m, f in unread))
+
+
+def test_members_are_methods_and_properties_not_fields():
+    tree = ast.parse("class C:\n    n: int\n    @property\n    def p(self): pass\n"
+                     "    def m(self): pass\n    def _h(self): pass\n"
+                     "class _D:\n    def m(self): pass\n")
+    assert public_members(tree) == {"C.p", "C.m"}
+
+
 def test_readme_public_api_names_exist():
-    stale = readme_public_api() - defined_names()
+    stale = readme_public_api() - defined_names() - defined_members()
     assert not stale, "README Public API lists names that src/zmcnoid does not define: " \
         + ", ".join(sorted(f"{m}.{f}" for m, f in stale))
 
