@@ -26,13 +26,16 @@ def main() -> None:
     parser.add_argument("--grid", type=parse_grid, default="64x192", help="mesh grid as NUxNT")
     args = parser.parse_args()
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def surface(n, u_max):
+        # the output directory is made once a mesh exists, so a usage error
+        # leaves nothing behind
         try:
-            return tessellate(n, u_max=u_max, eps=0.02, grid=args.grid)
+            mesh = tessellate(n, u_max=u_max, eps=0.02, grid=args.grid)
         except ValueError as exc:
             parser.error(str(exc))
+        out.mkdir(parents=True, exist_ok=True)
+        return mesh
 
     for n in MESH_ORDERS:
         mesh = surface(n, 4.0)

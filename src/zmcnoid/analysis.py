@@ -224,21 +224,23 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
             )
             for c in level_curve(n, -h, samples, u_max)
         ]
-    out = []
-    for k in range(2 * n):
-        lo = 1.0 if k % 2 == 0 else math.cos(math.pi / n)
-        # keep a relative gap >= 1e-3 to the lower endpoint: odd rays end at
-        # the wedge corner where the coordinates diverge at pole rate, and
-        # closer samples lose the height invariant to cancellation noise
-        us = lo + (u_max - lo) * np.geomspace(1e-3, 1.0, samples)
-        with np.errstate(over="ignore", invalid="ignore"):  # caught below
-            pts = eval_extended_grid(n, us, np.full(samples, k * math.pi / n))
-        if not np.isfinite(pts).all():
-            raise ValueError(f"n={n}, u_max={u_max!r}: ray {k} leaves float64")
-        out.append(
-            LevelCurve(n=n, h=0.0, copy_index=k, is_ray=True, params=us, points=pts)
-        )
-    return out
+    # the 2n rays at theta = k pi/n as one (2n, samples) evaluation, so the
+    # theta-only terms cost once per ray.  Keep a relative gap >= 1e-3 to the
+    # lower endpoint: odd rays end at the wedge corner where the coordinates
+    # diverge at pole rate, and closer samples lose the height invariant to
+    # cancellation noise
+    angles = np.arange(2 * n) * math.pi / n
+    lo = np.where(np.arange(2 * n) % 2, math.cos(math.pi / n), 1.0)[:, None]
+    us = lo + (u_max - lo) * np.geomspace(1e-3, 1.0, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        pts = eval_extended_grid(n, us, angles[:, None])
+    finite = np.isfinite(pts).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"n={n}, u_max={u_max!r}: ray {np.argmin(finite)} leaves float64")
+    return [
+        LevelCurve(n=n, h=0.0, copy_index=k, is_ray=True, params=us[k], points=pts[k])
+        for k in range(2 * n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +451,19 @@ def _scan_height(n: int, h: float, samples: int, tol: float) -> HeightScan:
 
 def _scan_rays(n: int, samples: int, tol: float) -> HeightScan:
     rays = level_curve(n, 0.0, samples)
-    collinear = True
-    speed_ok = True
-    for ray in rays:
-        k = ray.copy_index
-        d = np.array([math.sin(k * math.pi / n), math.cos(k * math.pi / n)])
-        xy = ray.points[:, 1:3]
-        off = xy - np.outer(xy @ d, d)
-        collinear &= bool(np.max(np.linalg.norm(off, axis=1)) < tol)
-        speed = eval_U(n - 2, ray.params) / (
-            eval_T(n, ray.params) - (-1.0) ** k
-        )
-        speed_ok &= bool(np.all(speed > 0.0))
-        collinear &= bool(np.max(np.abs(ray.points[:, 0])) < tol)
-    cross_hits, min_cross = polyline_set_scan(
-        np.stack([r.points[:, 1:3] for r in rays]), tol=tol)
-    origin_free = all(
-        float(np.min(np.linalg.norm(r.points, axis=1))) > 0.0 for r in rays
-    )
+    t = np.stack([r.points[:, 0] for r in rays])
+    xy = np.stack([r.points[:, 1:3] for r in rays])
+    # ray k runs along (sin, cos)(k pi/n): its distance off that line is
+    # |x cos - y sin|, and its height t is 0
+    angles = np.arange(2 * n)[:, None] * math.pi / n
+    off = np.abs(xy[..., 0] * np.cos(angles) - xy[..., 1] * np.sin(angles))
+    collinear = bool(np.max(off) < tol and np.max(np.abs(t)) < tol)
+    # every even ray has the params of ray 0 and every odd ray those of ray 1
+    us = np.stack([rays[0].params, rays[1].params])
+    speed = eval_U(n - 2, us) / (eval_T(n, us) - np.array([[1.0], [-1.0]]))
+    speed_ok = bool(np.all(speed > 0.0))
+    cross_hits, min_cross = polyline_set_scan(xy, tol=tol)
+    origin_free = bool(np.min(np.einsum("...i,...i", xy, xy) + t * t) > 0.0)
     ok = cross_hits == 0 and collinear and speed_ok and origin_free
     return HeightScan(
         h=0.0, self_intersections=0, cross_intersections=cross_hits,

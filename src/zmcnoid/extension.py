@@ -172,7 +172,7 @@ def eval_extended_grid(n: int, u, theta):
     x0 = np.sin(n * ta) / D
     x1 = -(tn1 * np.sin(ta) + ua * np.sin((n - 1) * ta)) / D
     x2 = (-tn1 * np.cos(ta) + ua * np.cos((n - 1) * ta)) / D
-    logs = np.log(factors)
+    logs = np.log(factors, out=factors)  # the factors are not needed again
     for j in range(1, n):
         x1 = x1 + c * logs[j] * math.sin(2.0 * math.pi * j / n)
     for j in range(n):

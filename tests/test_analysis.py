@@ -265,6 +265,98 @@ def test_level_curve_rays():
         assert np.max(np.linalg.norm(off, axis=1)) < 1e-9
 
 
+def _per_ray_level_curve(n, samples, u_max):
+    # the h = 0 slice one ray at a time, as (params, points) per ray: the
+    # oracle for the stacked evaluation, which must reproduce it bit for bit
+    rays = []
+    for k in range(2 * n):
+        lo = 1.0 if k % 2 == 0 else math.cos(math.pi / n)
+        us = lo + (u_max - lo) * np.geomspace(1e-3, 1.0, samples)
+        rays.append((us, ext.eval_extended_grid(n, us, np.full(samples, k * math.pi / n))))
+    return rays
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+def test_stacked_rays_equal_the_per_ray_loop(n):
+    for samples in (16, 512, 2048):
+        for u_max in (2, 10, 1e6):
+            rays = an.level_curve(n, 0.0, samples, u_max)
+            assert [r.copy_index for r in rays] == list(range(2 * n))
+            for ray, (us, pts) in zip(rays, _per_ray_level_curve(n, samples, u_max)):
+                assert ray.is_ray and ray.h == 0.0
+                assert np.array_equal(ray.params, us), (samples, u_max, ray.copy_index)
+                assert np.array_equal(ray.points, pts), (samples, u_max, ray.copy_index)
+
+
+def _per_ray_scan_record(n, samples, tol):
+    # the h = 0 record of embeddedness_scan checked ray by ray
+    rays = _per_ray_level_curve(n, samples, 10.0)
+    collinear = speed_ok = True
+    for k, (us, pts) in enumerate(rays):
+        d = np.array([math.sin(k * math.pi / n), math.cos(k * math.pi / n)])
+        xy = pts[:, 1:3]
+        off = xy - np.outer(xy @ d, d)
+        collinear &= bool(np.max(np.linalg.norm(off, axis=1)) < tol)
+        collinear &= bool(np.max(np.abs(pts[:, 0])) < tol)
+        speed_ok &= bool(np.all(eval_U(n - 2, us) / (eval_T(n, us) - (-1.0) ** k) > 0.0))
+    hits, dist = geo.polyline_set_scan(np.stack([p[:, 1:3] for _, p in rays]), tol=tol)
+    origin_free = all(float(np.min(np.linalg.norm(p, axis=1))) > 0.0 for _, p in rays)
+    return dict(h=0.0, self_intersections=0, cross_intersections=hits,
+                min_cross_distance=dist, sector_disjoint=None, rays_collinear=collinear,
+                ray_speed_positive=speed_ok,
+                passed=hits == 0 and collinear and speed_ok and origin_free)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ray_scan_record_equals_the_per_ray_checks(n):
+    record = an.embeddedness_scan(n, [0.0]).as_dict()["records"][0]
+    assert record == _per_ray_scan_record(n, 2048, an.SCAN_TOLERANCE)
+
+
+def _patched_rays(monkeypatch, edit):
+    # level_curve's one evaluator call, with edit applied to its output;
+    # returns the list of the (u, theta) arguments it was called with
+    calls, real = [], an.eval_extended_grid
+
+    def evaluate(n, u, theta):
+        calls.append((u, theta))
+        out = real(n, u, theta)
+        edit(out)
+        return out
+    monkeypatch.setattr(an, "eval_extended_grid", evaluate)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_ray_slice_is_one_evaluation(monkeypatch, n):
+    calls = _patched_rays(monkeypatch, lambda out: None)
+    an.level_curve(n, 0.0, 64)
+    assert len(calls) == 1
+    u, theta = calls[0]
+    assert np.shape(u) == (2 * n, 64) and np.shape(theta) == (2 * n, 1)
+
+
+def test_ray_errors_name_the_first_nonfinite_ray(monkeypatch):
+    def spoil(out):
+        out[7, 3, 2] = np.inf
+        out[5, 40, 1] = np.nan
+    _patched_rays(monkeypatch, spoil)
+    with pytest.raises(ValueError, match=r"^n=4, u_max=10\.0: ray 5 leaves float64$"):
+        an.level_curve(4, 0.0, 64)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_ray_scan_catches_a_ray_off_its_line(monkeypatch, column):
+    # a bump of 1e-6 in t, x or y of one sample of ray 3 leaves the line (or
+    # the slice t = 0), far above the 1e-9 tolerance and far below any gap
+    def bump(out):
+        out[3, 100, column] += 1e-6
+    _patched_rays(monkeypatch, bump)
+    rec = an.embeddedness_scan(4, [0.0], samples=256).records[0]
+    assert not rec.rays_collinear and not rec.passed
+    assert rec.ray_speed_positive and rec.cross_intersections == 0
+
+
 def test_level_curve_tip_approaches_minus_h():
     curves = an.level_curve(4, 0.5, 512)
     first = curves[0]

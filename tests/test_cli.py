@@ -115,8 +115,9 @@ def test_orders_past_the_degree_cap_are_one_line_errors(tmp_path, capsys, comman
 
 
 def test_mesh_checks_the_degree_before_the_domain_edge(tmp_path, capsys):
-    # the domain's lower edge stacks n factors per column: about a gigabyte
-    # at n = 100000 and 768 columns, unless the degree is checked first
+    # the cap error comes from eval_extended_grid inside the tessellate pool,
+    # which checks the degree before it forms any factor; the domain's lower
+    # edge reads two spokes per column, so nothing before it grows with n
     out = tmp_path / "x.ply"
     argv = ["mesh", "--n", "100000", "--grid", "8x768", "--out", str(out)]
     assert run_expect_usage_error(argv) == 2

@@ -79,7 +79,9 @@ def test_tessellate_validation():
 
 
 def test_tessellate_checks_the_degree_first():
-    # omega_lower_bound would stack 100000 x 768 factors before the check
+    # the cap error comes from eval_extended_grid inside the pool, which
+    # checks the degree before it forms any factor; omega_lower_bound reads
+    # two spokes per column, so nothing before it grows with n
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="degree 99999 exceeds supported cap 128"):
@@ -684,6 +686,16 @@ def test_gallery_rejects_a_bad_grid_in_one_line(tmp_path, monkeypatch, capsys, g
     assert "Traceback" not in err
     assert "error: " in err.splitlines()[-1] and grid in err.splitlines()[-1]
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("grid", ["abc", "4x4"])
+def test_gallery_makes_no_directory_on_a_usage_error(tmp_path, monkeypatch, grid):
+    out = tmp_path / "gallery" / "deeper"
+    monkeypatch.setattr(sys, "argv", [str(GALLERY_SCRIPT), "--out", str(out), "--grid", grid])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(GALLERY_SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    assert not (tmp_path / "gallery").exists()
 
 
 def test_gallery_keeps_its_bytes(tmp_path, monkeypatch):
