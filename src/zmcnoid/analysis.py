@@ -285,7 +285,7 @@ class MonotonicityReport:
     passed: bool
 
 
-def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> MonotonicityReport:
+def curve_monotonicity_report(n: int, h: float) -> MonotonicityReport:
     """Monotone x1 / unimodal x2 structure of the fundamental arc.
 
     A sign chain: along x0 = h,
@@ -298,11 +298,13 @@ def curve_monotonicity_report(n: int, h: float, grid_size: int = 1000) -> Monoto
     sum cancels under j <-> n - j) and x2 turns once, at pi/(2(n-1)).  It
     passes when the factors and kernel slopes have these signs and the slopes
     match the reduced ratios to 1e-12 relative (derivative_max_error_*).  The
-    other fields sample the arc; near the tip at large h they see rounding.
+    other fields sample the arc at grid_size = 1000 angles; near the tip at
+    large h they see rounding.
     """
     check_order(n, 3)
     if h <= 0.0:
         raise ValueError("needs h > 0")
+    grid_size = 1000
     thetas, pts, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
     xs, ys = pts[:, 1], pts[:, 2]
     decreasing = bool(np.all(np.diff(xs) < 0.0))
@@ -600,22 +602,22 @@ class ContourEndpoints:
     x1_at_zero: float
 
 
-def contour_endpoint_limits(n: int, h: float, levels: int = 8) -> ContourEndpoints:
+def contour_endpoint_limits(n: int, h: float) -> ContourEndpoints:
     """Extrapolated contour boundary values: u -> 1, u -> cos(pi/n), x1 -> -h.
 
     The theta -> 0 end is smooth, so plain Neville on a dyadic theta
-    sequence converges fast; the theta -> pi/n end behaves like a square
-    root, so the extrapolation variable there is sqrt(pi/n - theta).
+    sequence of 8 levels converges fast; the theta -> pi/n end behaves like a
+    square root, so the extrapolation variable there is sqrt(pi/n - theta).
     Shrinking theta much below pi/n * 1e-2 buys nothing: cancellation noise
     in x1 grows like h^2 n^2 eps / theta and floors the achievable error.
     """
     check_order(n, 2)
     wedge = math.pi / n
-    th = wedge * 1e-2 * 2.0 ** (-np.arange(levels))
-    u0 = neville_to_zero(th, contour_u(n, h, th))
-    x1 = eval_extended_grid(n, contour_u(n, h, th), th)[:, 1]
-    x1_0 = neville_to_zero(th, x1)
-    deltas = wedge * 1e-2 * 4.0 ** (-np.arange(levels))
+    th = wedge * 1e-2 * 2.0 ** (-np.arange(8))
+    u = contour_u(n, h, th)
+    u0 = neville_to_zero(th, u)
+    x1_0 = neville_to_zero(th, eval_extended_grid(n, u, th)[:, 1])
+    deltas = wedge * 1e-2 * 4.0 ** (-np.arange(8))
     u1 = neville_to_zero(np.sqrt(deltas), contour_u(n, h, wedge - deltas))
     return ContourEndpoints(u_at_zero=u0, u_at_wedge=u1, x1_at_zero=x1_0)
 
@@ -660,10 +662,10 @@ def mean_curvature_residual(n: int, u, theta, step: float = 1e-3):
     return float(out) if out.ndim == 0 else out
 
 
-def zmc_verification_grid(n: int, nu: int = 40, ntheta: int = 120, u_max: float = 2.5):
+def zmc_verification_grid(n: int, nu: int = 40, ntheta: int = 120):
     """Mixed causal-type grid for residual sweeps, avoiding fragile zones.
 
-    Rows run from a margin above the domain's lower edge up to u_max,
+    Rows run from a margin above the domain's lower edge up to u = 2.5,
     skipping the fold band |u - 1| < 0.05.  The margin is graded by n and
     bumped near the puncture directions theta = 2 pi j / n, where the
     stencil otherwise straddles steep log terms.  Returns flat (u, theta)
@@ -677,7 +679,7 @@ def zmc_verification_grid(n: int, nu: int = 40, ntheta: int = 120, u_max: float 
     col_margin = np.where(dist <= 0.5 * math.pi / n, margin + 0.1, margin)
     lo = lower + col_margin
     rows = np.linspace(0.0, 1.0, nu)[:, None]
-    uu = lo[None, :] + rows * (u_max - lo[None, :])
+    uu = lo[None, :] + rows * (2.5 - lo[None, :])
     tt = np.broadcast_to(thetas[None, :], uu.shape)
     keep = np.abs(uu - 1.0) >= 0.05
     return uu[keep], tt[keep]

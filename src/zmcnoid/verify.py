@@ -85,9 +85,9 @@ class CheckRecord:
 class VerificationReport:
     """Named suite of check records; passes iff every record passes."""
 
-    suite: str = ""
-    prng: str = ""
-    seed: int | None = None
+    suite: str
+    prng: str
+    seed: int
     checks: tuple = ()
 
     @property
@@ -103,20 +103,14 @@ class VerificationReport:
         }
 
     def as_dict(self):
-        # optional context keys are omitted when unset so that a bare empty
-        # suite serializes to exactly {"checks": [], "pass": true}
-        out = {}
-        if self.suite:
-            out["suite"] = self.suite
-        if self.prng:
-            out["prng"] = self.prng
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out["checks"] = [c.as_dict() for c in self.checks]
-        if self.checks:
-            out["summary"] = self.summary()
-        out["pass"] = self.passed
-        return out
+        return {
+            "suite": self.suite,
+            "prng": self.prng,
+            "seed": self.seed,
+            "checks": [c.as_dict() for c in self.checks],
+            "summary": self.summary(),
+            "pass": self.passed,
+        }
 
 
 def _json_fragment(obj) -> str:

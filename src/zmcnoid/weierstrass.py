@@ -13,9 +13,9 @@ z = 0).  The surface itself is the real part, written in polar coordinates by
 inner product <v, w> = -v_t w_t + v_x w_x + v_y w_y.
 
 ``integrate_lift_numeric`` is the independent oracle: it integrates alpha
-along a polyline by adaptive Gauss-Kronrod quadrature and never touches the
-closed form.  ``period_residual`` certifies that loop integrals around the
-punctures are purely imaginary, so the real part is single valued.
+along the segment [0, z] by adaptive Gauss-Kronrod quadrature and never
+touches the closed form.  ``period_residual`` certifies that loop integrals
+around the punctures are purely imaginary, so the real part is single valued.
 """
 
 from __future__ import annotations
@@ -164,40 +164,29 @@ def _segment_puncture_distance(a, b, p):
     return np.hypot(p.real - (a.real + s * dr), p.imag - (a.imag + s * di))
 
 
-def integrate_lift_numeric(
-    data: JorgeMeeksData,
-    z,
-    waypoints=(),
-    abs_tol: float = 1e-11,
-    max_depth: int = 40,
-) -> HolomorphicLift:
-    """Quadrature value of F(z) = int_0^z alpha along 0 -> waypoints -> z.
+def integrate_lift_numeric(data: JorgeMeeksData, z) -> HolomorphicLift:
+    """Quadrature value of F(z) = int_0^z alpha along the segment [0, z].
 
-    The polyline must keep distance > PATH_CLEARANCE from every puncture;
-    real parts are path independent, imaginary parts depend on the homotopy
-    class of the chosen polyline.  A 1-D array z integrates every point
-    along its own polyline in one batched pass and gives array fields.
+    The segment must keep distance > PATH_CLEARANCE from every puncture.
+    A 1-D array z integrates every point along its own segment in one
+    batched pass and gives array fields.
     """
     zs = np.asarray(z, dtype=complex)
-    vertices = np.stack(np.broadcast_arrays(0j, *waypoints, zs))
-    vertices = vertices.reshape(len(vertices), -1)
-    moving = (vertices != vertices[0]).any(axis=0)
-    path = vertices[:, moving]
-    dist = _segment_puncture_distance(
-        path[:-1, :, None], path[1:, :, None], data.punctures)
-    # the first point, then its first segment and puncture, that comes too close
-    hits = np.argwhere(dist.transpose(1, 0, 2) <= PATH_CLEARANCE)
+    ends = zs.reshape(-1)
+    moving = ends != 0
+    tips = ends[moving]
+    dist = _segment_puncture_distance(0j, tips[:, None], data.punctures)
+    # the first point, then its puncture, that comes too close
+    hits = np.argwhere(dist <= PATH_CLEARANCE)
     if hits.size:
-        k, j, i = hits[0]
+        k, i = hits[0]
         raise PathError(
-            f"integration segment [{complex(path[j, k])}, {complex(path[j + 1, k])}] "
-            f"passes within {dist[j, k, i]:.3g} of puncture {data.punctures[i]:.6g}"
+            f"integration segment [0j, {complex(tips[k])}] "
+            f"passes within {dist[k, i]:.3g} of puncture {data.punctures[i]:.6g}"
         )
     val = np.zeros((3, moving.size), dtype=complex)
     if moving.any():
-        val[:, moving] = integrate_polyline(
-            lambda w: alpha(data, w), path, abs_tol=abs_tol, max_depth=max_depth
-        )
+        val[:, moving] = integrate_polyline(lambda w: alpha(data, w), [0j, tips])
     if zs.ndim == 0:
         return HolomorphicLift(*(complex(v) for v in val[:, 0]))
     return HolomorphicLift(val[0], val[1], val[2])
@@ -246,15 +235,9 @@ def loop_integral(
     return fine
 
 
-def period_residual(
-    data: JorgeMeeksData,
-    j: int,
-    radius: float | None = None,
-    samples: int = 512,
-) -> float:
+def period_residual(data: JorgeMeeksData, j: int) -> float:
     """Max over components of |Re loop integral| about puncture j."""
-    loop = loop_integral(data, j, radius=radius, samples=samples)
-    return float(np.max(np.abs(loop.real)))
+    return float(np.max(np.abs(loop_integral(data, j).real)))
 
 
 def f_polar(data: JorgeMeeksData, r, theta):

@@ -1,5 +1,6 @@
 """Derivatives, contours, level curves, certificates, curvature residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -569,6 +570,18 @@ def test_embeddedness_slices_match_all_pairs_oracle():
         ])
         assert rec.cross_intersections == int(np.count_nonzero(d < an.SCAN_TOLERANCE))
         assert rec.min_cross_distance == float(d.min())
+
+
+def test_mirrored_slices_scan_like_their_positive_twins():
+    # the -h slice is the h slice with x negated exactly, so every box gap
+    # and segment distance of its scan is bitwise the same
+    for n in range(3, 9):
+        heights = (0.01, 0.1, 1.0, 10.0)
+        records = an.embeddedness_scan(n, [*heights, *(-h for h in heights)]).records
+        for h, twin, mirror in zip(heights, records, records[len(heights):]):
+            assert (twin.h, mirror.h) == (h, -h)
+            moved = dataclasses.replace(mirror, h=h)
+            assert dataclasses.asdict(moved) == dataclasses.asdict(twin), (n, h)
 
 
 def test_embeddedness_scan_certifies_large_height():

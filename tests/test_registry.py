@@ -211,8 +211,13 @@ def test_check_record_dict_uses_pass_key():
     assert d["n"] == 3
 
 
+# a report with no records still writes every key
+EMPTY_REPORT = ('{"suite": "verify", "prng": "numpy-pcg64", "seed": 0, "checks": [], '
+                '"summary": {"total": 0, "passed": 0, "failed": 0}, "pass": true}')
+
+
 def test_empty_report_canonical_bytes():
-    assert report_json(VerificationReport()) == '{"checks": [], "pass": true}'
+    assert report_json(VerificationReport("verify", "numpy-pcg64", 0)) == EMPTY_REPORT
 
 
 def test_report_key_order_and_summary():
@@ -228,14 +233,14 @@ def test_report_key_order_and_summary():
 
 
 def test_report_float_formatting():
-    rep = VerificationReport(checks=(make_record(measured=0.1),))
+    rep = VerificationReport("verify", "numpy-pcg64", 0, (make_record(measured=0.1),))
     text = report_json(rep)
     assert '"measured": 0.10000000000000001' in text
     assert '"tolerance": 1e-10' in text
 
 
 def test_report_rejects_non_finite():
-    rep = VerificationReport(checks=(make_record(measured=math.inf),))
+    rep = VerificationReport("verify", "numpy-pcg64", 0, (make_record(measured=math.inf),))
     with pytest.raises(ValueError):
         report_json(rep)
 
@@ -246,7 +251,7 @@ def test_report_rejects_unserializable():
         measured=0.0, tolerance=1.0, passed=True,
     )
     with pytest.raises(TypeError):
-        report_json(VerificationReport(checks=(rec,)))
+        report_json(VerificationReport("verify", "numpy-pcg64", 0, (rec,)))
 
 
 def test_report_numpy_scalars_serialize():
@@ -254,13 +259,13 @@ def test_report_numpy_scalars_serialize():
         name="np", n=int(np.int64(4)), parameters={"count": np.int64(7)},
         measured=np.float64(2.0e-9), tolerance=1e-8, passed=True,
     )
-    text = report_json(VerificationReport(checks=(rec,)))
+    text = report_json(VerificationReport("verify", "numpy-pcg64", 0, (rec,)))
     assert '"count": 7' in text
     assert '"measured": 2.0000000000000001e-09' in text
 
 
 def test_emit_report_no_trailing_newline(tmp_path):
     path = str(tmp_path / "report.json")
-    emit_report(VerificationReport(), path)
+    emit_report(VerificationReport("verify", "numpy-pcg64", 0), path)
     blob = open(path, "rb").read()
-    assert blob == b'{"checks": [], "pass": true}'
+    assert blob == EMPTY_REPORT.encode()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zmcnoid import weierstrass as ws
+from zmcnoid.quadrature import integrate_polyline
 from zmcnoid.extension import reflection_matrix, rotation_matrix
 
 
@@ -135,30 +136,28 @@ def test_quadrature_empty_path_is_zero():
 def test_quadrature_real_parts_path_independent():
     data = ws.JorgeMeeksData(3)
     direct = ws.integrate_lift_numeric(data, 0.5 + 0j)
-    detour = ws.integrate_lift_numeric(data, 0.5 + 0j, waypoints=[0.3j])
-    assert abs(direct.X0.real - detour.X0.real) < 1e-9
-    assert abs(direct.X1.real - detour.X1.real) < 1e-9
-    assert abs(direct.X2.real - detour.X2.real) < 1e-9
+    detour = integrate_polyline(lambda w: ws.alpha(data, w), [0, 0.3j, 0.5])
+    assert abs(direct.X0.real - detour[0].real) < 1e-9
+    assert abs(direct.X1.real - detour[1].real) < 1e-9
+    assert abs(direct.X2.real - detour[2].real) < 1e-9
 
 
 def test_quadrature_rejects_path_through_puncture():
     data = ws.JorgeMeeksData(3)
     with pytest.raises(ws.PathError):
         ws.integrate_lift_numeric(data, 2.0 + 0j)
-    with pytest.raises(ws.PathError):
-        ws.integrate_lift_numeric(data, 0.5 + 0.5j, waypoints=[1.0 + 0.04j])
 
 
 def test_batched_lift_matches_pointwise_and_checks_every_path():
     data = ws.JorgeMeeksData(4)
     z = np.array([0.3 + 0.2j, 0j, -0.4 + 0.1j])
-    batch = ws.integrate_lift_numeric(data, z, waypoints=[0.1j])
+    batch = ws.integrate_lift_numeric(data, z)
     for k, zk in enumerate(z):
-        single = ws.integrate_lift_numeric(data, zk, waypoints=[0.1j])
+        single = ws.integrate_lift_numeric(data, zk)
         assert [f[k] for f in batch] == list(single)
     assert ws.integrate_lift_numeric(data, np.array([0j])).X1.tolist() == [0j]
-    with pytest.raises(ws.PathError, match=r"\[0\.1j, \(1\.1\+0\.04j\)\]"):
-        ws.integrate_lift_numeric(data, np.array([0.5 + 0j, 1.1 + 0.04j]), waypoints=[0.1j])
+    with pytest.raises(ws.PathError, match=r"\[0j, \(1\.1\+0\.04j\)\]"):
+        ws.integrate_lift_numeric(data, np.array([0.5 + 0j, 1.1 + 0.04j]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,10 @@ def test_batched_lift_matches_pointwise_and_checks_every_path():
 # ---------------------------------------------------------------------------
 
 def test_period_residual_examples():
-    assert ws.period_residual(ws.JorgeMeeksData(2), 0, radius=0.3) < 1e-8
-    assert ws.period_residual(ws.JorgeMeeksData(5), 3, radius=0.2) < 1e-8
+    loops = (ws.loop_integral(ws.JorgeMeeksData(2), 0, radius=0.3),
+             ws.loop_integral(ws.JorgeMeeksData(5), 3, radius=0.2))
+    for loop in loops:
+        assert np.max(np.abs(loop.real)) < 1e-8
 
 
 def test_period_residual_all_punctures():
