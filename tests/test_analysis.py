@@ -1,6 +1,8 @@
 """Derivatives, contours, level curves, certificates, curvature residuals."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -587,6 +589,37 @@ def test_mirrored_slices_scan_like_their_positive_twins():
 def test_embeddedness_scan_certifies_large_height():
     # the sampled sector test used to fail here on tip rounding
     assert an.embeddedness_scan(8, [1e3]).passed
+
+
+# SHA-256 of each record dump of the embed benchmark's slices: n = 3..8 with
+# |h| cycling over 0.01, 0.1, 1, 10, both signs, and h = 0
+EMBED_RECORD_DIGESTS = {
+    (3, 0.01): "b72e1c151917b6aa00a081546119e6b2a8c077be8dcdc18aecb631c164ca39cb",
+    (3, -0.01): "53e193493e41fcc5b825c53178c4ccbfc142c6dc59101bc8baabba60d6b1c125",
+    (3, 0.0): "72d4478d65dbc98653d3ce128dfcbccd47821a61f4b45852ec2a24c83ad69799",
+    (4, 0.1): "1695edf4e9750e5d7268bf27fe65d890ab744c987c8a23873d030fa5507c6f77",
+    (4, -0.1): "fc696d9d78b2dc90f41069e7cbca5623a942c43ca6307ddfb887823c2583cc64",
+    (4, 0.0): "f53e7b15addf794681aab7130ff060b767d66899cc10fef1cf1ea007737009bc",
+    (5, 1.0): "8e6762d9a6c06fbcbd9a01c85d95cf2755867a7403169ab5e5d595b0dcefd64f",
+    (5, -1.0): "16ca96c785edd1bfc6996fe271f9aa94ca663edf41174aab0ed995aa250d01d7",
+    (5, 0.0): "41d8eb0b9c9df0d9fc3f607206ba3cc1a212c4a58ff72a04f64ce3bf21d0d983",
+    (6, 10.0): "de476a81e393b3f06d4b193bd3633e04421f0c16d3117ced91eb018efe1ad934",
+    (6, -10.0): "5c28826f9d56d0d04c342cfd62139d06bff8b04ff5989b710c9c6a761bf1b0b5",
+    (6, 0.0): "8128fd9f02db970c04898a9a6f4b11cd1129ca142517638281c14e7ee81c2252",
+    (7, 0.01): "54e7be501715636d536481eeeee7d440d2de9a2a8613cb436d4bc8a224c1acfc",
+    (7, -0.01): "ac235db263d681dac3bd1de0f5314a477d4f4ba667ebe983d444571b97a8b0c0",
+    (7, 0.0): "a632ac72c994933a55a331bb2fc44e94f31569c78968125d1ad1369f35c241df",
+    (8, 0.1): "3b3f4644781e80e1895feaa82f19ce736dc7fef24503b9ece386e20515fe9461",
+    (8, -0.1): "aab1b8f294b5e94a54469137db3d571269874ce89133a0b5b4db77b53b53145c",
+    (8, 0.0): "a7ae72cf8999efb7c8f92225584d0e171073b0b9bf8e854282148d2bdf1d46ab",
+}
+
+
+@pytest.mark.parametrize("n, h", list(EMBED_RECORD_DIGESTS))
+def test_embed_slice_records_are_pinned(n, h):
+    report = an.embeddedness_scan(n, [h], samples=2048, tol=1e-9)
+    dump = json.dumps(report.as_dict(), sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == EMBED_RECORD_DIGESTS[n, h]
 
 
 def test_in_sector_predicate():

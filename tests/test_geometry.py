@@ -115,6 +115,63 @@ def test_broadcasting_shapes():
     assert np.max(d) == 0.0
 
 
+def vector_segment_pair_distance(a0, a1, b0, b1):
+    """The same formula on (..., 2) vectors, through einsum and norm."""
+    a0, a1, b0, b1 = np.broadcast_arrays(*(np.asarray(v, float) for v in (a0, a1, b0, b1)))
+
+    def cross(a, b):
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+    def point_segment(p, a, b):
+        d = b - a
+        denom = np.einsum("...i,...i", d, d)
+        t = np.einsum("...i,...i", p - a, d) / np.where(denom > 0.0, denom, 1.0)
+        t = np.clip(t, 0.0, 1.0)
+        return np.linalg.norm(p - (a + t[..., None] * d), axis=-1)
+
+    da, db = a1 - a0, b1 - b0
+    crossing = ((cross(da, b0 - a0) * cross(da, b1 - a0) < 0.0)
+                & (cross(db, a0 - b0) * cross(db, a1 - b0) < 0.0))
+    dist = np.minimum.reduce([
+        point_segment(b0, a0, a1), point_segment(b1, a0, a1),
+        point_segment(a0, b0, b1), point_segment(a1, b0, b1),
+    ])
+    return np.where(crossing, 0.0, dist)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_distance_is_bit_identical_to_the_vector_formula(scale):
+    rng = np.random.default_rng(19)
+    count = 100_000
+    # half uniform, half on a 7x7 integer grid, which makes exact zero-length
+    # segments, shared endpoints, T-junctions and collinear overlaps common
+    ends = rng.uniform(-3.0, 3.0, (4, count, 2))
+    ends[:, count // 2:] = rng.integers(-3, 4, (4, count - count // 2, 2))
+    ends *= scale
+    a0, a1, b0, b1 = ends
+    got = geo.segment_pair_distance(a0, a1, b0, b1)
+    want = vector_segment_pair_distance(a0, a1, b0, b1)
+    assert got.shape == want.shape == (count,)
+    assert np.array_equal(got, want)
+    da, db = a1 - a0, b1 - b0
+    o = [da[:, 0] * w[:, 1] - da[:, 1] * w[:, 0] for w in (b0 - a0, b1 - a0)]
+    assert np.count_nonzero(o[0] * o[1] < 0.0) > 1000 and np.count_nonzero(got == 0.0) > 5000
+    assert np.count_nonzero((a0 == a1).all(axis=1)) > 100
+    assert np.count_nonzero((a1 == b0).all(axis=1)) > 100
+    collinear = (o[0] == 0.0) & (o[1] == 0.0) & (got == 0.0) & ~(a0 == a1).all(axis=1)
+    assert np.count_nonzero(collinear) > 100
+    # the uniform half rounds, so it also meets near-touching pairs
+    assert np.count_nonzero((got > 0.0) & (got < 1e-3 * scale)) > 0
+    for shapes in [((9, 1, 2), (1, 11, 2)), ((2,), (2,)), ((2,), (5, 2))]:
+        ka, kb = shapes
+        a0, a1 = rng.uniform(-scale, scale, (2, *ka))
+        b0, b1 = rng.uniform(-scale, scale, (2, *kb))
+        got = geo.segment_pair_distance(a0, a1, b0, b1)
+        want = vector_segment_pair_distance(a0, a1, b0, b1)
+        assert got.shape == want.shape == np.broadcast_shapes(ka, kb)[:-1]
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # polyline scans
 # ---------------------------------------------------------------------------
@@ -284,6 +341,47 @@ def test_pruning_keeps_pairs_that_round_below_their_box_gap():
     assert math.hypot(*np.maximum(sep, 0.0)) > tol
     assert geo.polyline_pair_intersections(a, b, tol) == [(0, 0, d)]
     assert geo.polyline_set_scan(a[None], b[None], tol) == (1, d)
+
+
+def forest_oracle(stack, key, depth):
+    """Each level's (lo, hi) rows, every box taken over its own segments."""
+    P, N = stack.shape[:2]
+    segments = N - 1
+    lo = np.concatenate([np.minimum(stack[:, :-1], stack[:, 1:]),
+                         np.broadcast_to(key, (P, segments))[..., None]], axis=2)
+    hi = np.concatenate([np.maximum(stack[:, :-1], stack[:, 1:]),
+                         np.broadcast_to(key, (P, segments))[..., None]], axis=2)
+    levels = []
+    for level in range(depth + 1):
+        span = 4 ** level
+        m = -(-segments // span)
+        width = 1 if level == depth else m + -m % 4
+        box = np.empty((2, 3, P, width))
+        box[0], box[1] = np.inf, -np.inf
+        for i in range(m):
+            box[0, :, :, i] = lo[:, i * span:(i + 1) * span].min(axis=1).T
+            box[1, :, :, i] = hi[:, i * span:(i + 1) * span].max(axis=1).T
+        levels.append((box[0].reshape(3, -1), box[1].reshape(3, -1), width))
+    return levels
+
+
+@pytest.mark.parametrize("P", [1, 2, 7, 16])
+def test_forest_matches_per_box_oracle(P):
+    rng = np.random.default_rng(P)
+    empty = 0
+    for N in (2, 3, 5, 6, 17, 65, 2048):
+        stack = rng.normal(size=(P, N, 2)) * rng.uniform(1e-3, 1e3, (P, 1, 2))
+        depth = next(d for d in range(8) if 4 ** d >= N - 1)
+        # a deeper forest is what the shorter stack of a walk gets
+        for d in (depth, depth + 1):
+            for key in (0.0, np.arange(N - 1), np.arange(P)[:, None]):
+                got, want = geo._forest(stack, key, d), forest_oracle(stack, key, d)
+                assert len(got) == len(want) == d + 1
+                for (lo, hi, m), (lo_w, hi_w, m_w) in zip(got, want):
+                    assert m == m_w
+                    assert np.array_equal(lo, lo_w) and np.array_equal(hi, hi_w)
+                    empty += np.count_nonzero(np.isposinf(lo) & np.isneginf(hi))
+    assert empty > 0
 
 
 def test_scans_reject_bad_tolerance_and_points():
