@@ -153,13 +153,16 @@ def test_distance_is_bit_identical_to_the_vector_formula(scale):
     want = vector_segment_pair_distance(a0, a1, b0, b1)
     assert got.shape == want.shape == (count,)
     assert np.array_equal(got, want)
+    # each special case is present
     da, db = a1 - a0, b1 - b0
-    o = [da[:, 0] * w[:, 1] - da[:, 1] * w[:, 0] for w in (b0 - a0, b1 - a0)]
-    assert np.count_nonzero(o[0] * o[1] < 0.0) > 1000 and np.count_nonzero(got == 0.0) > 5000
-    assert np.count_nonzero((a0 == a1).all(axis=1)) > 100
-    assert np.count_nonzero((a1 == b0).all(axis=1)) > 100
-    collinear = (o[0] == 0.0) & (o[1] == 0.0) & (got == 0.0) & ~(a0 == a1).all(axis=1)
-    assert np.count_nonzero(collinear) > 100
+    oa = [da[:, 0] * w[:, 1] - da[:, 1] * w[:, 0] for w in (b0 - a0, b1 - a0)]
+    ob = [db[:, 0] * w[:, 1] - db[:, 1] * w[:, 0] for w in (a0 - b0, a1 - b0)]
+    crossing = (oa[0] * oa[1] < 0.0) & (ob[0] * ob[1] < 0.0)
+    zero_length = (a0 == a1).all(axis=1)
+    shared_endpoint = (a1 == b0).all(axis=1)
+    collinear_touch = (oa[0] == 0.0) & (oa[1] == 0.0) & (got == 0.0) & ~zero_length
+    for case in (crossing, zero_length, shared_endpoint, collinear_touch):
+        assert np.count_nonzero(case) > 100
     # the uniform half rounds, so it also meets near-touching pairs
     assert np.count_nonzero((got > 0.0) & (got < 1e-3 * scale)) > 0
     for shapes in [((9, 1, 2), (1, 11, 2)), ((2,), (2,)), ((2,), (5, 2))]:
@@ -347,10 +350,9 @@ def forest_oracle(stack, key, depth):
     """Each level's (lo, hi) rows, every box taken over its own segments."""
     P, N = stack.shape[:2]
     segments = N - 1
-    lo = np.concatenate([np.minimum(stack[:, :-1], stack[:, 1:]),
-                         np.broadcast_to(key, (P, segments))[..., None]], axis=2)
-    hi = np.concatenate([np.maximum(stack[:, :-1], stack[:, 1:]),
-                         np.broadcast_to(key, (P, segments))[..., None]], axis=2)
+    keys = np.broadcast_to(key, (P, segments))[..., None]
+    lo = np.concatenate([np.minimum(stack[:, :-1], stack[:, 1:]), keys], axis=2)
+    hi = np.concatenate([np.maximum(stack[:, :-1], stack[:, 1:]), keys], axis=2)
     levels = []
     for level in range(depth + 1):
         span = 4 ** level
