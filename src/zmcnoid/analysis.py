@@ -24,12 +24,12 @@ from .chebyshev import check_order, eval_T, eval_U, factor_product, invert_T, ps
 from .extension import (
     domain_factors,
     eval_extended_grid,
+    group_elements,
     omega_lower_bound,
-    reflection_matrix,
-    rotation_matrix,
     x2_log_gap,
 )
-from .geometry import check_tolerance, polyline_self_intersections, polyline_set_scan
+from .geometry import (DEFAULT_TOLERANCE, check_tolerance, polyline_self_intersections,
+                       polyline_set_scan)
 from .weierstrass import lorentz_cross, lorentz_inner
 
 DESCENT_THRESHOLD = -1e3
@@ -38,7 +38,6 @@ DESCENT_THRESHOLD = -1e3
 LOG_GAP_START = math.log(0.5)
 CORNER_LOG_GAP_FLOOR = math.log(1.05e-12)
 INTERIOR_LOG_GAP_FLOOR = -2.0e5
-SCAN_TOLERANCE = 1e-9
 # mean_curvature_residual rejects points where |EG - F^2| is at most this
 FOLD_DET_GUARD = 1e-6
 
@@ -199,30 +198,15 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
         raise ValueError(f"height must be finite, got {h}")
     if not math.isfinite(u_max):
         raise ValueError(f"n={n}: u_max must be finite, got {u_max!r}")
-    if h > 0.0:
+    if h != 0.0:
+        # copy k is R^k of the arc at |h|; the mirror S carries +|h| to -|h|
         thetas = _fundamental_arc_thetas(n, samples)
-        u = contour_u(n, h, thetas)
-        base = eval_extended_grid(n, u, thetas)
-        rot = rotation_matrix(n)
-        out = []
-        mat = np.eye(3)
-        for k in range(n):
-            out.append(
-                LevelCurve(
-                    n=n, h=h, copy_index=k, is_ray=False,
-                    params=thetas.copy(), points=base @ mat.T,
-                )
-            )
-            mat = rot @ mat
-        return out
-    if h < 0.0:
-        mir = reflection_matrix()
+        base = eval_extended_grid(n, contour_u(n, abs(h), thetas), thetas)
+        copies = base @ group_elements(n)[h < 0.0::2].transpose(0, 2, 1)
         return [
-            LevelCurve(
-                n=n, h=h, copy_index=c.copy_index, is_ray=False,
-                params=c.params, points=c.points @ mir.T,
-            )
-            for c in level_curve(n, -h, samples, u_max)
+            LevelCurve(n=n, h=h, copy_index=k, is_ray=False,
+                       params=thetas.copy(), points=points)
+            for k, points in enumerate(copies)
         ]
     # the 2n rays at theta = k pi/n as one (2n, samples) evaluation, so the
     # theta-only terms cost once per ray.  Keep a relative gap >= 1e-3 to the
@@ -381,10 +365,8 @@ def region_Dh_certificate(n: int, h: float, arc_samples: int = 2000) -> RegionRe
     phi = xs * c - ys * s + h
     inside = bool(np.all(_in_sector(xs, ys, h, n)))
     # copy tips hug the sector boundary (clearance ~ theta), hence floored nodes
-    copies_outside, copy, rot = True, pts, rotation_matrix(n)
-    for _ in range(1, n):
-        copy = copy @ rot.T
-        copies_outside &= not np.any(_in_sector(copy[:, 1], copy[:, 2], h, n))
+    copies = pts @ group_elements(n)[2::2].transpose(0, 2, 1)
+    copies_outside = not np.any(_in_sector(copies[..., 1], copies[..., 2], h, n))
     theta0 = (n - 2) * math.pi / ((n - 1) * n)
     imin = int(np.argmin(phi))
     iexp = int(np.argmin(np.abs(thetas - theta0)))
@@ -458,14 +440,15 @@ def _scan_rays(n: int, samples: int, tol: float) -> HeightScan:
     # ray k runs along (sin, cos)(k pi/n): its distance off that line is
     # |x cos - y sin|, and its height t is 0
     angles = np.arange(2 * n)[:, None] * math.pi / n
-    off = np.abs(xy[..., 0] * np.cos(angles) - xy[..., 1] * np.sin(angles))
+    x, y = xy[..., 0], xy[..., 1]
+    off = np.abs(x * np.cos(angles) - y * np.sin(angles))
     collinear = bool(np.max(off) < tol and np.max(np.abs(t)) < tol)
     # every even ray has the params of ray 0 and every odd ray those of ray 1
     us = np.stack([rays[0].params, rays[1].params])
     speed = eval_U(n - 2, us) / (eval_T(n, us) - np.array([[1.0], [-1.0]]))
     speed_ok = bool(np.all(speed > 0.0))
     cross_hits, min_cross = polyline_set_scan(xy, tol=tol)
-    origin_free = bool(np.min(np.einsum("...i,...i", xy, xy) + t * t) > 0.0)
+    origin_free = bool(np.min(x * x + y * y + t * t) > 0.0)
     ok = cross_hits == 0 and collinear and speed_ok and origin_free
     return HeightScan(
         h=0.0, self_intersections=0, cross_intersections=cross_hits,
@@ -475,7 +458,7 @@ def _scan_rays(n: int, samples: int, tol: float) -> HeightScan:
 
 
 def embeddedness_scan(
-    n: int, heights, samples: int = 2048, tol: float = SCAN_TOLERANCE
+    n: int, heights, samples: int = 2048, tol: float = DEFAULT_TOLERANCE
 ) -> EmbeddednessReport:
     """Self- and cross-intersection sweep of the sampled height slices.
 

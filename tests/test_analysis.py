@@ -251,6 +251,51 @@ def test_level_curve_negative_height_is_mirror():
         assert np.max(np.abs(cm.points[:, 0] + 0.5)) < 1e-10
 
 
+def _per_copy_level_curve(n, h, samples):
+    # each copy by an iterated R^k, and the -h slice as the mirror image of
+    # each copy of the +|h| slice
+    thetas = an._fundamental_arc_thetas(n, samples)
+    base = ext.eval_extended_grid(n, an.contour_u(n, abs(h), thetas), thetas)
+    rot, mat, copies = ext.rotation_matrix(n), np.eye(3), []
+    for _ in range(n):
+        copies.append(base @ mat.T)
+        mat = rot @ mat
+    if h < 0.0:
+        copies = [c @ ext.reflection_matrix().T for c in copies]
+    return thetas, copies
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_copies_and_mirrors_equal_the_per_copy_construction(n):
+    for h in (0.01, -0.01, 1.0, -1.0, 10.0, -10.0):
+        for samples in (64, 2048):
+            thetas, copies = _per_copy_level_curve(n, h, samples)
+            curves = an.level_curve(n, h, samples)
+            assert [c.copy_index for c in curves] == list(range(n))
+            for c, points in zip(curves, copies):
+                assert np.array_equal(c.params, thetas)
+                assert np.array_equal(c.points, points)
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_sector_copies_equal_the_iterated_rotation(monkeypatch, n):
+    # the copies the certificate tests, seen through _in_sector, are the
+    # n - 1 iterated rotations of the arc up to rounding
+    seen, in_sector = [], an._in_sector
+    monkeypatch.setattr(an, "_in_sector", lambda x, y, h, n: seen.append((x, y))
+                        or in_sector(x, y, h, n))
+    rot = ext.rotation_matrix(n)
+    for h in (0.01, 1.0, 10.0, 1e3):
+        copy, copies, outside = an._arc_slopes(n, h, 2000)[1], [], True
+        for _ in range(1, n):
+            copy = copy @ rot.T
+            copies.append(copy[:, 1:])
+            outside &= not np.any(in_sector(copy[:, 1], copy[:, 2], h, n))
+        assert an.region_Dh_certificate(n, h).copies_outside == outside
+        got, want = np.stack(seen[-1], axis=-1), np.stack(copies)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_level_curve_rays():
     rays = an.level_curve(6, 0.0, 64)
     assert len(rays) == 12
@@ -313,7 +358,7 @@ def _per_ray_scan_record(n, samples, tol):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_ray_scan_record_equals_the_per_ray_checks(n):
     record = an.embeddedness_scan(n, [0.0]).as_dict()["records"][0]
-    assert record == _per_ray_scan_record(n, 2048, an.SCAN_TOLERANCE)
+    assert record == _per_ray_scan_record(n, 2048, geo.DEFAULT_TOLERANCE)
 
 
 def _patched_rays(monkeypatch, edit):
@@ -570,7 +615,7 @@ def test_embeddedness_slices_match_all_pairs_oracle():
             geo.segment_pair_distance(p[:-1, None], p[1:, None], q[None, :-1], q[None, 1:]).ravel()
             for p, q in pairs
         ])
-        assert rec.cross_intersections == int(np.count_nonzero(d < an.SCAN_TOLERANCE))
+        assert rec.cross_intersections == int(np.count_nonzero(d < geo.DEFAULT_TOLERANCE))
         assert rec.min_cross_distance == float(d.min())
 
 

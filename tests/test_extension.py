@@ -1,6 +1,7 @@
 """Domain membership, analytic extension values, symmetry group."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,18 @@ def test_group_preserves_lorentz_form():
     J = np.diag([-1.0, 1.0, 1.0])
     for g in ext.group_elements(5):
         assert np.max(np.abs(g.T @ J @ g - J)) < 1e-13
+
+
+def test_group_is_one_stack_with_a_drift_guard(monkeypatch):
+    for n in (2, 3, 17):
+        els = ext.group_elements(n)
+        assert isinstance(els, np.ndarray) and els.shape == (2 * n, 3, 3)
+    # R^0 and S R^0 are exact; R^1 = 1e-12 too long is element 2
+    rotation = ext.rotation_matrix
+    monkeypatch.setattr(ext, "rotation_matrix", lambda n: rotation(n) * (1.0 + 1e-12))
+    with pytest.raises(AssertionError, match=re.escape(
+            "group element 2 distorts the Lorentz form by 2.00018e-12")):
+        ext.group_elements(5)
 
 
 def test_generator_relations():
