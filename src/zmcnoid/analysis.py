@@ -202,7 +202,7 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
         # copy k is R^k of the arc at |h|; the mirror S carries +|h| to -|h|
         thetas = _fundamental_arc_thetas(n, samples)
         base = eval_extended_grid(n, contour_u(n, abs(h), thetas), thetas)
-        copies = base @ group_elements(n)[h < 0.0::2].transpose(0, 2, 1)
+        copies = base @ group_elements(n)[int(h < 0.0)::2].transpose(0, 2, 1)
         return [
             LevelCurve(n=n, h=h, copy_index=k, is_ray=False,
                        params=thetas.copy(), points=points)

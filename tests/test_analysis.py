@@ -267,7 +267,8 @@ def _per_copy_level_curve(n, h, samples):
 
 @pytest.mark.parametrize("n", range(3, 18))
 def test_copies_and_mirrors_equal_the_per_copy_construction(n):
-    for h in (0.01, -0.01, 1.0, -1.0, 10.0, -10.0):
+    # a numpy height must pick the mirrors too
+    for h in (0.01, -0.01, 1.0, np.float64(-1.0), 10.0, -10.0):
         for samples in (64, 2048):
             thetas, copies = _per_copy_level_curve(n, h, samples)
             curves = an.level_curve(n, h, samples)
