@@ -3,9 +3,9 @@
 One closed-form kernel for the u-partials and Jacobian minors
 (``surface_partials``), immersion certification, contour solving for the
 height function, level-curve assembly, monotonicity and sector certificates
-decided by the signs of that kernel's contour slopes, polyline embeddedness
-scans, boundary-approach divergence probes, and a finite-difference
-zero-mean-curvature residual.
+decided by sign chains on that kernel's contour slopes and a pinwheel lemma,
+polyline embeddedness scans, boundary-approach divergence probes, and a
+finite-difference zero-mean-curvature residual.
 
 Everything here consumes the domain check and the surface evaluator from
 ``extension`` and the Chebyshev kernels and factored denominator from
@@ -40,6 +40,8 @@ CORNER_LOG_GAP_FLOOR = math.log(1.05e-12)
 INTERIOR_LOG_GAP_FLOOR = -2.0e5
 # mean_curvature_residual rejects points where |EG - F^2| is at most this
 FOLD_DET_GUARD = 1e-6
+# region_Dh_certificate's rounding allowance where two sectors share a line
+SECTOR_SLACK = 1e-13
 
 # lower-bound margins for the zero-mean-curvature verification grid, per n:
 # the residual of the finite-difference stencil blows up approaching the
@@ -146,6 +148,8 @@ def contour_u(n: int, h: float, theta):
     The solution u of x0(u, theta) = h for theta in (0, pi/n), h > 0.
     """
     check_order(n, 2)
+    if not math.isfinite(h):
+        raise ValueError(f"contour_u needs a finite height, got {h!r}")
     if h <= 0.0:
         raise ValueError("contour_u needs h > 0; use mirror symmetry for h < 0")
     ta = np.asarray(theta, dtype=float)
@@ -237,7 +241,6 @@ def _arc_slopes(n: int, h: float, samples: int):
     # and the signs of its four factors, all positive wherever u > cos(pi/n)
     thetas = _fundamental_arc_thetas(n, samples, tip_frac=1e-4)
     u = contour_u(n, h, thetas)
-    points = eval_extended_grid(n, u, thetas)
     f_u, j01, j02 = surface_partials(n, u, thetas)
     slopes = np.stack([j01, j02]) / f_u[:, 0]
     u_n2, u_n1 = eval_U(n - 2, u), eval_U(n - 1, u)
@@ -245,7 +248,7 @@ def _arc_slopes(n: int, h: float, samples: int):
     ratio = u_n2 / u_n1 / sin_n
     reduced = np.stack([-ratio * sin_n1, ratio * np.cos((n - 1) * thetas)])
     positive = bool(np.all(np.stack([u_n2, u_n1, sin_n1, sin_n]) > 0.0))
-    return thetas, points, slopes, reduced, positive
+    return thetas, u, slopes, reduced, positive
 
 
 def _turns_once_at(slope, thetas, turn: float, first: float) -> bool:
@@ -286,11 +289,9 @@ def curve_monotonicity_report(n: int, h: float) -> MonotonicityReport:
     large h they see rounding.
     """
     check_order(n, 3)
-    if h <= 0.0:
-        raise ValueError("needs h > 0")
     grid_size = 1000
-    thetas, pts, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
-    xs, ys = pts[:, 1], pts[:, 2]
+    thetas, u, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
+    xs, ys = eval_extended_grid(n, u, thetas)[:, 1:].T
     decreasing = bool(np.all(np.diff(xs) < 0.0))
     below = bool(np.all(xs < -h))
     imax = int(np.argmax(ys))
@@ -330,62 +331,61 @@ class RegionReport:
     n: int
     h: float
     theta0: float
-    arc_inside: bool
     copies_outside: bool
-    phi_min: float
-    phi_argmin_cell_offset: int
     phi_at_theta0: float
     upsilon_min: float
     passed: bool
 
 
-def _in_sector(x, y, h, n):
-    c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
-    return (x < -h) & (x * c - y * s + h > 0.0)
+def _sector(c: float, s: float, h: float):
+    # D_h = {p : g . p > o} over the rows g of the normals and the offsets o
+    return np.array([[-1.0, 0.0], [c, -s]]), np.array([h, -h])
 
 
 def region_Dh_certificate(n: int, h: float, arc_samples: int = 2000) -> RegionReport:
     """Containment of the fundamental arc in its sector, and of no other copy.
 
-    The sector is {x < -h, phi_h > 0}, phi_h = x cos(2 pi/n) - y sin(2 pi/n)
-    + h.  A sign chain: the arc is a graph with x1 < -h (see
+    D_h = {x < -h, phi_h > 0}, phi_h = x cos(2 pi/n) - y sin(2 pi/n) + h.  A
+    sign chain on arc_samples angles: the arc is a graph with x1 < -h (see
     ``curve_monotonicity_report``), and dphi_h/dtheta = -(U_{n-2} / U_{n-1})
     sin((n-1) theta + 2 pi/n) / sin(n theta) turns from - to + only at theta0
-    = (n-2) pi / ((n-1) n), so phi_at_theta0 > 0 settles phi_h > 0.  Phi(h) =
-    phi_h(theta0) rises from 0 at the rate upsilon, increasing on u >=
-    cos(theta0) from upsilon_min = 2 sin^2(pi/n) > 0.  The rotated copies of
-    the sampled arc must miss the sector (copies_outside).
+    = (n-2) pi / ((n-1) n), so phi_at_theta0 = Phi(h) > 0 settles phi_h > 0.
+    Phi rises from 0 at the rate upsilon, which increases on u >= cos(theta0)
+    from upsilon_min = 2 sin^2(pi/n).
+
+    copies_outside is the pinwheel lemma.  For a_j at angle pi + 2 pi j/n,
+    R^k D_h is P_{-k} of the pieces P_j = {a_j . p > h > a_{j-1} . p}.  Proof:
+    a_j . p > h holds on a cyclic run of j, never on all n (the a_j sum to 0),
+    and p lies in P_j only if the run starts at j.  Per copy, a line of D_h or
+    R^k D_h has the other wedge, apex and edges, beyond it, up to SECTOR_SLACK
+    (times h for offsets) at the line that adjacent pieces share: rounding
+    moves those ties by at most 2.8e-16 for n = 3..65, h in [1e-6, 1e6];
+    moving the phi_h line out by a relative 1e-11, or R built for n + 1, fails.
     """
     check_order(n, 3)
-    if h <= 0.0:
-        raise ValueError("needs h > 0")
-    thetas, pts, slopes, _, positive = _arc_slopes(n, h, arc_samples)
-    xs, ys = pts[:, 1], pts[:, 2]
+    if arc_samples < 16:
+        raise ValueError(f"need at least 16 arc samples, got {arc_samples!r}")
+    thetas, _, slopes, _, positive = _arc_slopes(n, h, arc_samples)
     c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
-    phi = xs * c - ys * s + h
-    inside = bool(np.all(_in_sector(xs, ys, h, n)))
-    # copy tips hug the sector boundary (clearance ~ theta), hence floored nodes
-    copies = pts @ group_elements(n)[2::2].transpose(0, 2, 1)
-    copies_outside = not np.any(_in_sector(copies[..., 1], copies[..., 2], h, n))
+    normals, offsets = _sector(c, s, h)
+    apex = np.linalg.solve(normals, offsets)
+    # edge i leaves the apex along line i, into the half-plane of the other
+    edges = normals[:, ::-1] * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    # columns of lines[k - 1]: copy k's normals; D_h is beyond a line if its apex and edges are
+    lines = group_elements(n)[2::2, 1:, 1:] @ normals.T
+    beyond = np.any((apex @ lines <= offsets + SECTOR_SLACK * h)
+                    & np.all(edges @ lines <= SECTOR_SLACK, axis=1), axis=1)
+    # turned by R^-k = R^(n-k), D_h's lines against copy k are copy n-k's against D_h
+    copies_outside = bool(np.all(beyond | beyond[::-1]))
     theta0 = (n - 2) * math.pi / ((n - 1) * n)
-    imin = int(np.argmin(phi))
-    iexp = int(np.argmin(np.abs(thetas - theta0)))
     p0 = eval_extended_grid(n, contour_u(n, h, theta0), theta0)
     phi0 = float(p0[1] * c - p0[2] * s + h)
     ups_min = upsilon(n, math.cos(theta0))
     ok = (positive and bool(np.all(slopes[0] < 0.0))
           and _turns_once_at(c * slopes[0] - s * slopes[1], thetas, theta0, -1.0)
           and phi0 > 0.0 and ups_min > 0.0 and copies_outside)
-    return RegionReport(
-        n=n, h=h, theta0=theta0,
-        arc_inside=inside,
-        copies_outside=copies_outside,
-        phi_min=float(np.min(phi)),
-        phi_argmin_cell_offset=abs(imin - iexp),
-        phi_at_theta0=phi0,
-        upsilon_min=ups_min,
-        passed=ok,
-    )
+    return RegionReport(n=n, h=h, theta0=theta0, copies_outside=copies_outside,
+                        phi_at_theta0=phi0, upsilon_min=ups_min, passed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +422,7 @@ def _scan_height(n: int, h: float, samples: int, tol: float) -> HeightScan:
     # rotation carries copy a to copy a+k, so testing copy 0 against every
     # other covers all pairs
     cross_hits, min_cross = polyline_set_scan(xy[:1], xy[1:], tol)
-    # sector certificate, rotated copies included: the mirrored slice is an
-    # isometric image, so its sector containment is the |h| statement
+    # the mirrored slice is an isometric image: its sector statement is that of |h|
     sector = region_Dh_certificate(n, abs(h), arc_samples=samples).passed
     ok = self_hits == 0 and cross_hits == 0 and sector and min_cross > 0.0
     return HeightScan(

@@ -201,6 +201,17 @@ def test_contour_validation():
         an.contour_u(3, 0.0, 0.3)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_contour_rejects_a_non_finite_height_first(h):
+    # nan was once called too small, and inf gave cos(theta), a point on the
+    # domain edge that the certificates then rejected as out of the domain
+    with pytest.raises(ValueError, match=f"^contour_u needs a finite height, got {h!r}$"):
+        an.contour_u(3, h, 0.1)
+    for certificate in (an.curve_monotonicity_report, an.region_Dh_certificate):
+        with pytest.raises(ValueError, match="^contour_u needs a finite height"):
+            certificate(3, h)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(2, 8),
@@ -278,23 +289,71 @@ def test_copies_and_mirrors_equal_the_per_copy_construction(n):
                 assert np.array_equal(c.points, points)
 
 
+def _in_sector(x, y, h, n):
+    c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
+    return (x < -h) & (x * c - y * s + h > 0.0)
+
+
+def _sampled_sector(n, h, samples=2000):
+    # sampled corroboration of region_Dh_certificate on its floored arc: is
+    # the arc inside D_h, the least phi_h, how many cells its argmin lies
+    # from theta0, and do the n - 1 copies by an iterated R miss D_h
+    thetas = an._fundamental_arc_thetas(n, samples, tip_frac=1e-4)
+    pts = ext.eval_extended_grid(n, an.contour_u(n, h, thetas), thetas)
+    x, y = pts[:, 1], pts[:, 2]
+    phi = x * math.cos(2.0 * math.pi / n) - y * math.sin(2.0 * math.pi / n) + h
+    theta0 = (n - 2) * math.pi / ((n - 1) * n)
+    offset = abs(int(np.argmin(phi)) - int(np.argmin(np.abs(thetas - theta0))))
+    rot, copy, outside = ext.rotation_matrix(n), pts, True
+    for _ in range(1, n):
+        copy = copy @ rot.T
+        outside &= not np.any(_in_sector(copy[:, 1], copy[:, 2], h, n))
+    return bool(np.all(_in_sector(x, y, h, n))), float(phi.min()), offset, outside
+
+
 @pytest.mark.parametrize("n", range(3, 18))
-def test_sector_copies_equal_the_iterated_rotation(monkeypatch, n):
-    # the copies the certificate tests, seen through _in_sector, are the
-    # n - 1 iterated rotations of the arc up to rounding
-    seen, in_sector = [], an._in_sector
-    monkeypatch.setattr(an, "_in_sector", lambda x, y, h, n: seen.append((x, y))
-                        or in_sector(x, y, h, n))
-    rot = ext.rotation_matrix(n)
+def test_sector_copies_equal_the_iterated_rotation(n):
+    # the lemma and the sampled arc turned by an iterated R both keep the copies out
     for h in (0.01, 1.0, 10.0, 1e3):
-        copy, copies, outside = an._arc_slopes(n, h, 2000)[1], [], True
-        for _ in range(1, n):
-            copy = copy @ rot.T
-            copies.append(copy[:, 1:])
-            outside &= not np.any(in_sector(copy[:, 1], copy[:, 2], h, n))
-        assert an.region_Dh_certificate(n, h).copies_outside == outside
-        got, want = np.stack(seen[-1], axis=-1), np.stack(copies)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert an.region_Dh_certificate(n, h).copies_outside, (n, h)
+        assert _sampled_sector(n, h)[3], (n, h)
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_rotated_sector_points_miss_the_sector(n):
+    # the pinwheel lemma on random points of D_h: the apex (-h, h tan(pi/n))
+    # plus multiples of the edge directions (0, -1) and -(sin, cos)(2 pi/n)
+    # over six decades, turned by every R^k, k = 1..n-1
+    rng = np.random.default_rng(n)
+    turns = ext.group_elements(n)[2::2, 1:, 1:]
+    t = 2.0 * math.pi / n
+    for h in (1e-3, 0.01, 1.0, 10.0, 1e3):
+        a, b = h * 10.0 ** rng.uniform(-3.0, 3.0, (2, 10_000))
+        x, y = -h - b * math.sin(t), h * math.tan(math.pi / n) - a - b * math.cos(t)
+        assert np.all(_in_sector(x, y, h, n)), (n, h)
+        moved = np.stack([x, y], axis=-1) @ turns.transpose(0, 2, 1)
+        assert not np.any(_in_sector(moved[..., 0], moved[..., 1], h, n)), (n, h)
+
+
+def _phi_line_moved_out(sector):
+    # the phi_h line a relative 1e-9 farther out widens D_h across the line
+    # it shares with its neighbour
+    def moved(c, s, h):
+        normals, offsets = sector(c, s, h)
+        return normals, offsets * np.array([1.0, 1.0 + 1e-9])
+    return moved
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("group_elements", lambda group: lambda n: group(n + 1)),
+    ("_sector", _phi_line_moved_out),
+], ids=["rotation_for_n_plus_1", "phi_line_moved_out"])
+@pytest.mark.parametrize("n", range(3, 18))
+def test_broken_pinwheels_fail_the_certificate(monkeypatch, name, mutate, n):
+    monkeypatch.setattr(an, name, mutate(getattr(an, name)))
+    for h in (0.01, 1.0, 10.0, 1e3):
+        rep = an.region_Dh_certificate(n, h)
+        assert not rep.copies_outside and not rep.passed, (n, h)
 
 
 def test_level_curve_rays():
@@ -482,11 +541,19 @@ def test_monotonicity_validation():
 
 def test_region_certificate_basic():
     rep = an.region_Dh_certificate(6, 1.0)
-    assert rep.arc_inside
-    assert rep.phi_min > 0.0
-    assert rep.phi_argmin_cell_offset <= 2
+    inside, phi_min, offset, _ = _sampled_sector(6, 1.0)
+    assert inside
+    assert phi_min > 0.0
+    assert offset <= 2
     assert rep.upsilon_min > 0.0
     assert rep.passed
+
+
+@pytest.mark.parametrize("samples", [0, 1, 15])
+def test_region_certificate_needs_16_arc_samples(samples):
+    with pytest.raises(ValueError, match=f"^need at least 16 arc samples, got {samples}$"):
+        an.region_Dh_certificate(3, 1.0, samples)
+    assert an.region_Dh_certificate(3, 1.0, 16).passed
 
 
 def test_region_certificate_small_h_limit():
@@ -520,16 +587,17 @@ def test_theta0_matches_phi_formula():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_sign_chains_certify_every_height(n):
     # the verdicts are sign chains on the kernel slopes, so they hold at
-    # h = 1e3 and 1e4 too, where the sampled fields see rounding at the arc
-    # tip; up to h = 10 the sampled fields agree with them
+    # h = 1e3 and 1e4 too, where the sampled arc sees rounding at its tip;
+    # up to h = 10 the sampled fields and the sampled sector agree with them
     for h in (0.01, 0.5, 1.0, 10.0, 100.0, 1e3, 1e4):
         mono, region = an.curve_monotonicity_report(n, h), an.region_Dh_certificate(n, h)
         assert mono.passed and region.passed and region.copies_outside, (n, h)
         assert max(mono.derivative_max_error_x1, mono.derivative_max_error_x2) < 1e-15
         if h <= 10.0:
+            inside, phi_min, offset, _ = _sampled_sector(n, h)
             assert mono.x1_strictly_decreasing and mono.x1_below_minus_h and mono.x2_unimodal
-            assert mono.x2_argmax_cell_offset <= 2 and region.phi_argmin_cell_offset <= 2
-            assert region.arc_inside and region.phi_min > 0.0
+            assert mono.x2_argmax_cell_offset <= 2 and offset <= 2
+            assert inside and phi_min > 0.0
 
 
 @pytest.mark.parametrize("minor", [1, 2])
@@ -666,11 +734,6 @@ def test_embed_slice_records_are_pinned(n, h):
     report = an.embeddedness_scan(n, [h], samples=2048, tol=1e-9)
     dump = json.dumps(report.as_dict(), sort_keys=True)
     assert hashlib.sha256(dump.encode()).hexdigest() == EMBED_RECORD_DIGESTS[n, h]
-
-
-def test_in_sector_predicate():
-    assert an._in_sector(np.array([-2.0]), np.array([0.0]), 1.0, 3)[0]
-    assert not an._in_sector(np.array([-0.5]), np.array([0.0]), 1.0, 3)[0]
 
 
 # ---------------------------------------------------------------------------
