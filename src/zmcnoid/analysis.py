@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebyshev import check_order, eval_T, eval_U, factor_product, invert_T, psi
+from .chebyshev import MAX_DEGREE, check_order, eval_T, eval_U, factor_product, invert_T, psi
 from .extension import (
     domain_factors,
     eval_extended_grid,
@@ -42,6 +42,8 @@ INTERIOR_LOG_GAP_FLOOR = -2.0e5
 FOLD_DET_GUARD = 1e-6
 # region_Dh_certificate's rounding allowance where two sectors share a line
 SECTOR_SLACK = 1e-13
+# the sign chains of the slice certificates evaluate U_{2n-2} (surface_partials)
+_CHAIN_MAX_ORDER = MAX_DEGREE // 2 + 1
 
 # lower-bound margins for the zero-mean-curvature verification grid, per n:
 # the residual of the finite-difference stencil blows up approaching the
@@ -235,6 +237,13 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
 # monotonicity and sector certificates: sign chains on the contour slopes
 # ---------------------------------------------------------------------------
 
+def _check_chain_order(n: int) -> None:
+    check_order(n, 3)
+    if n > _CHAIN_MAX_ORDER:
+        raise ValueError(f"order n={n} is past {_CHAIN_MAX_ORDER}, the largest the slice "
+                         f"sign chains accept")
+
+
 def _arc_slopes(n: int, h: float, samples: int):
     # the floored arc, its kernel slopes dxk/dtheta = J0k / (dx0/du), their
     # reduced form (-sin, cos)((n-1) theta) U_{n-2} / (U_{n-1} sin(n theta)),
@@ -288,7 +297,7 @@ def curve_monotonicity_report(n: int, h: float) -> MonotonicityReport:
     other fields sample the arc at grid_size = 1000 angles; near the tip at
     large h they see rounding.
     """
-    check_order(n, 3)
+    _check_chain_order(n)
     grid_size = 1000
     thetas, u, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
     xs, ys = eval_extended_grid(n, u, thetas)[:, 1:].T
@@ -362,7 +371,7 @@ def region_Dh_certificate(n: int, h: float, arc_samples: int = 2000) -> RegionRe
     moves those ties by at most 2.8e-16 for n = 3..65, h in [1e-6, 1e6];
     moving the phi_h line out by a relative 1e-11, or R built for n + 1, fails.
     """
-    check_order(n, 3)
+    _check_chain_order(n)
     if arc_samples < 16:
         raise ValueError(f"need at least 16 arc samples, got {arc_samples!r}")
     thetas, _, slopes, _, positive = _arc_slopes(n, h, arc_samples)
@@ -465,13 +474,17 @@ def embeddedness_scan(
     segment tests against every rotated copy, and the sector certificate;
     height zero checks that the 2n rays are straight, positively traversed,
     pairwise disjoint, and miss the origin (their common limit).  Any hit
-    is counted; a clean report is the embeddedness evidence.
+    is counted; a clean report is the embeddedness evidence.  A nonzero
+    height needs n <= 65, the orders the sector sign chains reach; past that
+    the scan raises ValueError before it evaluates any slice.
     """
     check_order(n, 3)
     tol = check_tolerance(tol)
     heights = list(heights)
     if not heights:
         raise ValueError("embeddedness scan needs at least one height")
+    if any(h != 0.0 for h in heights):
+        _check_chain_order(n)
     records = []
     for h in heights:
         if h == 0.0:

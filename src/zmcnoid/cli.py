@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Identical argv (and seed) produce byte-identical artifacts; mesh evaluation
 and quad splitting run on a thread pool with one worker for each CPU the
 process may use, each chunk writing its own rows, whatever the schedule.
+The text writers format tables of two or more blocks on such a pool too,
+and write the blocks in order.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Builds display meshes of the extended surface over truncated subdomains,
 tags every vertex with its causal type, and writes OBJ / PLY / CSV
 artifacts that are byte-identical across runs for identical inputs.  The
 text writers format whole blocks of rows in numpy, floats as their repr and
-ints as their str; only floats outside [1e-4, 1e15), or whose rounding is
-too close to call in float64, go through repr itself.
+ints as their str, on a thread pool when a table has two blocks or more;
+only subnormal floats, and floats whose rounding is too close to call in
+float64, go through repr itself.
 
 Display coordinates are ordered (x, y, t) so the rotational axis points up
 in common viewers; the evaluator's native order is (t, x, y).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -179,14 +181,13 @@ def tessellate(
 # text rows
 # ---------------------------------------------------------------------------
 
-# 10^k for k = -4..20, each correctly rounded: the negative powers round up,
-# so a >= 10^k exactly when a >= _POW10[k + 4], and the others are exact
-_POW10 = np.array([float(f"1e{k}") for k in range(-4, 21)])
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 # a 16- or 15-digit residual this close to a rounding tie or to half an ulp,
 # in units of the 17th digit, sends the value to repr; their errors are < 1e-14
 _TIE = 1e-11
 _FLOAT_WIDTH = 24  # the longest float repr, e.g. -2.2250738585072014e-308
+_EXP_MIN = -324  # the decimal exponents of the finite doubles run -324..308
+_PLACES = np.arange(23, dtype=np.int8)[:, None]
 
 
 def _split(a):
@@ -195,25 +196,54 @@ def _split(a):
     return hi, a - hi
 
 
+def _scale_table():
+    """Rows e - _EXP_MIN for e = _EXP_MIN..308: the nearest double to 10^e,
+    and 10^(16 - e) = 2^shift * (hi + lo) with hi in [1, 2), hi + lo a
+    double-double (|lo| <= 2^-53, off by at most 2^-106), hi Dekker-split."""
+    near, shifts, parts = [], [], []
+    for e in range(_EXP_MIN, 309):
+        near.append(float(f"1e{e}"))
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        shift = num.bit_length() - den.bit_length()
+        num, den = (num, den << shift) if shift >= 0 else (num << -shift, den)
+        if num < den:
+            num, shift = 2 * num, shift - 1
+        hi = num / den  # int division rounds correctly
+        p, q = hi.as_integer_ratio()
+        shifts.append(shift)
+        parts.append((hi, *_split(hi), (num * q - p * den) / (den * q)))
+    return np.array(near), np.array(shifts, dtype=np.int32), np.array(parts).T
+
+
+_NEAR10, _SHIFT, _SCALE = _scale_table()
+
+
 def _shortest_digits(a: np.ndarray):
-    """repr's digits of floats a >= 0: (digits, exp, slow).
+    """repr's digits of finite floats a >= 0: (digits, exp, slow).
 
     With exp = floor(log10 a), the p-digit rounding of a * 10^(p-1-exp)
     reads back as a when it lies within half an ulp of a, scaled alike;
     p = 17 always does.  repr takes the least such p, and for p <= 15 that
     is the 15-digit rounding with its zeros stripped (Gay 1990).  digits is
-    it, padded to 17 digits.  Where slow is set, a is out of positional
-    range or a residual is within _TIE of a decision, and both are void.
+    it, padded to 17 digits.  The nearest double to 10^e counts as exponent
+    e even when it lies below 10^e, and its digits are then 10^16.  A zero
+    gives digits 0 and exp -1.  Where slow is set, a is subnormal or a
+    residual is within _TIE of a decision, and both are void.
     """
-    col = np.searchsorted(_POW10[:20], a, side="right")
-    slow = (col == 0) | (col == 20)  # repr is positional on [1e-4, 1e15)
-    col = np.where(slow, 5, col)
-    a = np.where(slow, 1.0, a)
-    scale = _POW10[25 - col]  # 10^(16 - exp), exact
-    # a * scale = hi + lo exactly (Dekker 1971); hi >= 1e16 > 2^53 is an integer
-    hi = a * scale
-    (ah, al), (sh, sl) = _split(a), _split(scale)
-    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    mantissa, binexp = np.frexp(a)
+    # floor(log10 2^(binexp - 1)) for |binexp| <= 1076, then one step up
+    row = ((binexp - 1) * 78913 >> 18) - _EXP_MIN
+    row += a >= _NEAR10[row + 1]
+    shift = _SHIFT[row]
+    mh, sh, sl, ml = _SCALE.take(row, axis=1)
+    # a * 10^(16 - exp) = b * (mh + ml), with b = a * 2^shift in [5e15, 1e17)
+    # exact; b * mh = hi + (the Dekker residual) exactly (Dekker 1971), and
+    # hi >= 1e16 > 2^53 is an integer.  Past 10^22, ml carries the power
+    # of ten, and lo is off by less than 1e-14
+    b = np.ldexp(a, shift)
+    hi = b * mh
+    bh, bl = _split(b)
+    lo = ((bh * sh - hi) + bh * sl + bl * sh) + bl * sl + b * ml
     step = np.rint(lo)
     r17 = lo - step
     d17 = hi.astype(np.int64) + step.astype(np.int64)  # hi is even
@@ -222,48 +252,73 @@ def _shortest_digits(a: np.ndarray):
     q15 = q16 // 10
     u16 = (d17 - 10 * q16) + r17
     u15 = (d17 - 100 * q15) + r17
-    up16, up15 = u16 > 5.0, u15 > 50.0
-    v16, v15 = np.abs(u16 - 10.0 * up16), np.abs(u15 - 100.0 * up15)
     # half an ulp of a in 17th-digit units, in (0.55, 11.1): so a 15-digit
-    # tie never reads back, and r17 is exact, its ties broken to even as in
-    # repr.  No power of two in range has a candidate in its narrower half
-    half_ulp = np.ldexp(scale, np.frexp(a)[1] - 54)
-    slow |= ((np.abs(v16 - 5.0) < _TIE) | (np.abs(v16 - half_ulp) < _TIE)
-             | (np.abs(v15 - half_ulp) < _TIE))
-    digits = np.where(v16 < half_ulp, (q16 + up16) * 10, d17)
-    digits = np.where(v15 < half_ulp, (q15 + up15) * 100, digits)
-    return digits, col - 5, slow
+    # tie never reads back, and r17 is within _TIE of exact, its ties broken
+    # to even as in repr.  Below a power of two the gap is half as wide, so
+    # a 16-digit rounding down that misses it gives way to the one up
+    half_up = np.ldexp(mh, binexp + shift - 54)
+    half_down = np.where(mantissa == 0.5, 0.5 * half_up, half_up)
+    up16, up15 = (u16 > 5.0) | (u16 >= half_down), u15 > 50.0
+    v16, v15 = np.abs(u16 - 10.0 * up16), np.abs(u15 - 100.0 * up15)
+    h16, h15 = np.where(up16, half_up, half_down), np.where(up15, half_up, half_down)
+    slow = ((binexp < -1021) | (np.abs(v16 - 5.0) < _TIE) | (np.abs(u16 - half_down) < _TIE)
+            | (np.abs(v16 - h16) < _TIE) | (np.abs(v15 - h15) < _TIE))
+    digits = np.where(v16 < h16, (q16 + up16) * 10, d17)
+    digits = np.where(v15 < h15, (q15 + up15) * 100, digits)
+    return digits, row + _EXP_MIN, slow
 
 
-def _digit_rows(q: np.ndarray, width: int) -> np.ndarray:
-    """The width lowest decimal digits of ints q >= 0 as ASCII rows, high first."""
-    rows = np.empty((width, len(q)), dtype=np.uint8)
+def _digit_rows(q: np.ndarray, rows: np.ndarray) -> None:
+    """Write the len(rows) lowest decimal digits of ints q >= 0 into the
+    uint8 rows as ASCII, high first."""
+    width = len(rows)
     for row in range(width - 1, -1, -1):
         if (width - 1 - row) % 9 == 0:  # int32 parts of 9 digits divide faster
-            part, q = (q % 10**9).astype(np.int32), q // 10**9
+            high = q // 10**9
+            part, q = (q - high * 10**9).astype(np.int32), high
         quotient = part // 10
-        rows[row] = part - 10 * quotient + ord("0")
+        np.subtract(part, 10 * quotient, out=rows[row], casting="unsafe")
         part = quotient
-    return rows
+    rows += ord("0")
 
 
 def _float_field(x: np.ndarray) -> np.ndarray:
-    """repr(float(v)) for v in x, as the rows of a NUL-padded uint8 matrix."""
+    """repr(float(v)) for finite v in x, as the rows of a NUL-padded uint8 matrix.
+
+    repr is positional for zeros and for 1e-4 <= |v| < 1e16, and d[.ddd]e±XX
+    with two or three exponent digits elsewhere.
+    """
     digits, exp, slow = _shortest_digits(np.abs(x))
     # rows: NUL, the four zeros a leading "0." may need, 17 digits, NUL
     ext = np.zeros((23, len(x)), dtype=np.uint8)
     ext[1:5] = ord("0")
-    ext[5:22] = _digit_rows(digits, 17)
-    kept = 17 - np.argmax(ext[21:4:-1] != ord("0"), axis=0).astype(np.int8)
+    _digit_rows(digits, ext[5:22])
+    nonzero = ext[5:22] != ord("0")
+    nonzero[0] = True  # the leading digit stays, also a zero's
+    kept = (nonzero * _PLACES[1:18]).max(axis=0)  # the place of the last nonzero digit
+    sci = (exp < -4) | (exp > 15)
     # body[j] is ext[j + 1] before the point and ext[j] after it
-    point = (exp + 5).astype(np.int8)
-    place = np.arange(22, dtype=np.int8)[:, None]
-    body = np.where(place < point, ext[1:], ext[:-1])
-    body[place == point] = ord(".")
+    point = (np.where(sci, 0, exp) + 5).astype(np.int8)
+    place = _PLACES[:22]
+    body = ext[:-1].copy()
+    np.copyto(body, ext[1:], where=place < point)
+    np.copyto(body, ord("."), where=place == point)
     body *= (place >= np.minimum(point - 1, 4)) & (place <= np.maximum(point + 1, kept + 4))
     field = np.zeros((_FLOAT_WIDTH, len(x)), dtype=np.uint8)
-    field[0] = np.where(x < 0.0, ord("-"), 0)
+    field[0] = np.where(np.signbit(x), ord("-"), 0)
     field[1:23] = body
+    (rows,) = np.nonzero(sci)
+    if rows.size:  # the kept digits, a point after the first if there are more
+        kept, exp = kept[rows], exp[rows]
+        text = np.zeros((23, rows.size), dtype=np.uint8)
+        text[0] = ext[5, rows]
+        text[1] = np.where(kept > 1, ord("."), 0)
+        text[2:18] = ext[6:22, rows] * (place[1:17] < kept)
+        text[18] = ord("e")
+        text[19] = np.where(exp < 0, ord("-"), ord("+"))
+        _digit_rows(np.abs(exp), text[20:])
+        text[20] *= np.abs(exp) >= 100
+        field[1:, rows] = text
     (rows,) = np.nonzero(slow)
     if rows.size:
         text = np.array([repr(v) for v in x[rows].tolist()], dtype=f"S{_FLOAT_WIDTH}")
@@ -275,10 +330,13 @@ def _int_field(v: np.ndarray) -> np.ndarray:
     """str(int(i)) for i in v, as the rows of a NUL-padded uint8 matrix."""
     mag = np.abs(v.astype(np.int64))
     width = len(str(mag.max()))
-    field = np.empty((width + 1, len(v)), dtype=np.uint8)
-    field[0] = np.where(v < 0, ord("-"), 0)
-    field[1:] = _digit_rows(mag, width)
-    field[1:width][mag < 10 ** np.arange(width - 1, 0, -1)[:, None]] = 0
+    negative = v < 0
+    sign = int(negative.any())  # a sign row only where some i is negative
+    field = np.empty((sign + width, len(v)), dtype=np.uint8)
+    if sign:
+        field[0] = np.where(negative, ord("-"), 0)
+    _digit_rows(mag, field[sign:])
+    field[sign:-1][mag < 10 ** np.arange(width - 1, 0, -1)[:, None]] = 0
     return field.T
 
 
@@ -291,10 +349,14 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
 
     Each "{}" takes the next column: floats print as their repr, ints as
     their str, bytes as they are.  A block of _WRITE_BLOCK rows is one
-    NUL-padded byte matrix, and one compress drops the padding.
+    NUL-padded byte matrix, and one compress drops the padding.  A table of
+    two or more full blocks is formatted on a pool of thread_cap() threads,
+    at most one block per thread and one more ahead of the writes, which
+    stay in order; smaller tables, and one-CPU processes, format inline.
     """
     literals = [np.frombuffer(part.encode("ascii"), np.uint8) for part in template.split("{}")]
-    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+
+    def format_block(start):
         blocks = [column[start:start + _WRITE_BLOCK] for column in columns]
         shape = (len(blocks[0]), len(literals[0]))
         row = [np.broadcast_to(literals[0], shape)]
@@ -302,7 +364,22 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
             row += [_FIELDS[block.dtype.kind](block),
                     np.broadcast_to(literal, (shape[0], len(literal)))]
         matrix = np.concatenate(row, axis=1)
-        fh.write(matrix[matrix != 0].tobytes())
+        return matrix[matrix != 0]
+
+    starts = range(0, len(columns[0]), _WRITE_BLOCK)
+    workers = thread_cap()
+    if workers == 1 or len(columns[0]) < 2 * _WRITE_BLOCK:
+        for start in starts:
+            fh.write(format_block(start))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque()
+        for start in starts:
+            ahead.append(pool.submit(format_block, start))
+            if len(ahead) > workers:
+                fh.write(ahead.popleft().result())
+        while ahead:
+            fh.write(ahead.popleft().result())
 
 
 # ---------------------------------------------------------------------------

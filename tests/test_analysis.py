@@ -658,6 +658,27 @@ def test_embeddedness_scan_needs_n3():
         an.embeddedness_scan(2, [1.0])
 
 
+@pytest.mark.parametrize("n", [66, 129])
+def test_orders_past_the_sign_chains_are_rejected_at_entry(monkeypatch, n):
+    # surface_partials evaluates U_{2n-2}, so the chains reach n = 65; past
+    # it the error names the order, not a degree the caller never passed
+    def never(*args):
+        raise AssertionError("evaluated a slice")
+
+    for name in ("level_curve", "contour_u", "surface_partials"):
+        monkeypatch.setattr(an, name, never)
+    message = f"^order n={n} is past 65, the largest the slice sign chains accept$"
+    for certify in (lambda: an.embeddedness_scan(n, [0.0, 1.0], samples=64),
+                    lambda: an.curve_monotonicity_report(n, 1.0),
+                    lambda: an.region_Dh_certificate(n, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            certify()
+    monkeypatch.undo()
+    assert an.embeddedness_scan(65, [1.0], samples=64).passed
+    # the h = 0 rays keep their range
+    assert an.embeddedness_scan(66, [0.0], samples=64).passed
+
+
 def test_embeddedness_scan_rejects_bad_tolerance():
     for tol in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match=f"got {tol!r}"):

@@ -1,6 +1,7 @@
 """Tessellation and artifact round-trips."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -434,6 +435,95 @@ def test_obj_matches_per_row_oracle_on_empty_meshes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# writer pool
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def block_mesh():
+    # 3 full blocks of vertices and a ragged fourth; 6 of faces and a seventh
+    mesh = mio.tessellate(5, u_max=3.0, eps=0.02, grid=(64, 800))
+    assert mesh.vertex_count // mio._WRITE_BLOCK == 3 and mesh.vertex_count % mio._WRITE_BLOCK
+    assert mesh.face_count // mio._WRITE_BLOCK == 6 and mesh.face_count % mio._WRITE_BLOCK
+    return mesh
+
+
+def _long_levels():
+    # one table of 3 full blocks and a ragged fourth
+    curves = level_curve(6, 0.5, 2731) + level_curve(6, 0.0, 2731)
+    assert sum(len(c.params) for c in curves) == 3 * mio._WRITE_BLOCK + 6
+    return curves
+
+
+def test_writer_bytes_do_not_depend_on_threads(monkeypatch, pool_sizes, block_mesh, tmp_path):
+    curves = _long_levels()
+    written = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(mio, "thread_cap", lambda: threads)
+        del pool_sizes[:]
+        obj, csv_path = tmp_path / f"{threads}.obj", tmp_path / f"{threads}.csv"
+        mio.export_obj(block_mesh, str(obj))
+        mio.export_level_curves(curves, str(csv_path))
+        # the vertex, face and sidecar tables, then the level table: each
+        # has two full blocks or more, so each has a pool unless one CPU
+        assert pool_sizes == ([] if threads == 1 else [threads] * 4)
+        written[threads] = [p.read_bytes() for p in (obj, csv_path, tmp_path / f"{threads}.obj.causal.csv")]
+    assert written[1] == written[2] == written[3]
+
+
+def test_writer_pools_only_tables_of_two_full_blocks(monkeypatch, pool_sizes):
+    monkeypatch.setattr(mio, "thread_cap", lambda: 2)
+    for rows, pools in ((2 * mio._WRITE_BLOCK - 1, []), (2 * mio._WRITE_BLOCK, [2])):
+        del pool_sizes[:]
+        out = io.BytesIO()
+        mio._write_rows(out, "{},{}\n", np.arange(rows), np.linspace(-1.0, 1.0, rows))
+        assert pool_sizes == pools
+        expected = "".join(f"{i},{v!r}\n" for i, v in enumerate(np.linspace(-1.0, 1.0, rows).tolist()))
+        assert out.getvalue() == expected.encode()
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse_blocks_holding(monkeypatch, marker):
+    # the float formatter raises on the block that holds the marker value
+    formatter = mio._FIELDS["f"]
+
+    def refusing(column):
+        if (column == marker).any():
+            raise _Refused(marker)
+        return formatter(column)
+
+    monkeypatch.setitem(mio._FIELDS, "f", refusing)
+
+
+@pytest.mark.parametrize("threads, k", [(1, 1), (2, 0), (2, 2)])
+def test_a_failed_block_stops_the_writes(monkeypatch, block_mesh, tmp_path, threads, k):
+    monkeypatch.setattr(mio, "thread_cap", lambda: threads)
+    marker = 1234.5
+    row = k * mio._WRITE_BLOCK + 7
+    positions = block_mesh.positions.copy()
+    positions[row, 1] = marker
+    mesh = dataclasses.replace(block_mesh, positions=positions)
+    _refuse_blocks_holding(monkeypatch, marker)
+    with pytest.raises(_Refused):
+        mio.export_obj(mesh, str(tmp_path / "m.obj"))
+    # blocks 0..k-1 of the vertex table, and nothing after them
+    lines = (tmp_path / "m.obj").read_bytes().splitlines(keepends=True)
+    assert len(lines) == k * mio._WRITE_BLOCK
+    assert lines == [f"v {x!r} {y!r} {t!r}\n".encode() for x, y, t in positions[:len(lines)].tolist()]
+
+    curve = LevelCurve(n=3, h=0.5, copy_index=0, is_ray=False,
+                       params=np.arange(3.0 * mio._WRITE_BLOCK), points=positions[:3 * mio._WRITE_BLOCK])
+    with pytest.raises(_Refused):
+        mio.export_level_curves([curve], str(tmp_path / "m.csv"))
+    lines = (tmp_path / "m.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + k * mio._WRITE_BLOCK
+    assert lines[1:] == [f"0.5,0,{float(i)!r},{x!r},{y!r},{t!r}\r\n".encode()
+                         for i, (t, x, y) in enumerate(positions[:len(lines) - 1].tolist())]
+
+
+# ---------------------------------------------------------------------------
 # row formatter against repr and str, value by value
 # ---------------------------------------------------------------------------
 
@@ -486,6 +576,46 @@ def test_floats_match_repr_at_15_16_and_17_digits():
     counts = np.bincount([repr_digits(v) for v in values.tolist()], minlength=18)
     assert counts[15] > 10_000 and counts[16] > 10_000 and counts[17] > 10_000
     assert_rows_match(values)
+
+
+def test_floats_match_repr_from_1e15_to_1e16():
+    rng = np.random.default_rng(23)
+    values = 10.0 ** rng.uniform(15.0, 16.0, 30_000)
+    values = np.concatenate([values, np.floor(values), np.nextafter(1e16, 0.0) - np.arange(64.0)])
+    assert_rows_match(np.concatenate([values, -values]))
+
+
+def test_floats_match_repr_at_every_power_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    extremes = [0.0, 5e-324, 2.2250738585072009e-308, np.finfo(float).tiny, np.finfo(float).max]
+    values = np.concatenate([near, extremes, np.ldexp(1.0, np.arange(-1074, 1024))])
+    assert_rows_match(np.concatenate([values, -values]))
+
+
+def test_floats_match_repr_at_decimal_ties_in_the_exponent_range():
+    # m 10^k is halfway between two doubles when m 5^k is odd and has 54
+    # bits; the nearest double and its neighbours need 16 or 17 digits
+    ties = [float(f"{m}e{k}") for k in range(17, 24)
+            for m in range(-(-2**53 // 5**k) | 1, 2**54 // 5**k + 1, 2)]
+    assert len(ties) > 7000
+    ties = np.array(ties)
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    assert_rows_match(np.concatenate([values, -values]))
+
+
+def test_floats_of_the_recipes_never_go_through_repr():
+    # exact zeros, tiny t and the h = 0 rays' noise print in the scientific
+    # layout too; none of them is subnormal or a near tie
+    tables = [mio.tessellate(n, 3.0, 0.02, (64, 192)).positions for n in (2, 3, 4, 5)]
+    for n in range(3, 9):
+        rays = level_curve(n, 0.0, 512)
+        tables.append(np.concatenate([np.concatenate([r.params, r.points.ravel()]) for r in rays]))
+    for values in tables:
+        values = np.abs(values.ravel())
+        assert ((values < 1e-4) | (values >= 1e16)).any()
+        _, _, slow = mio._shortest_digits(values)
+        assert not slow.any(), values[slow][:5]
 
 
 def test_ints_match_str():
