@@ -38,7 +38,6 @@ from .weierstrass import lorentz_inner
 
 LOG_FACTOR_GUARD = 1e-14
 DEFAULT_FD_SCALE = 1e-5
-LORENTZ_FORM = np.diag([-1.0, 1.0, 1.0])
 
 
 class DomainGuardError(ValueError):
@@ -254,8 +253,9 @@ def group_elements(n: int) -> np.ndarray:
     for k in range(2, 2 * n, 2):
         elements[k] = R @ elements[k - 2]
     elements[1::2] = reflection_matrix() @ elements[::2]
-    drift = np.max(np.abs(elements.transpose(0, 2, 1) @ LORENTZ_FORM @ elements
-                          - LORENTZ_FORM), axis=(1, 2))
+    cols = elements.swapaxes(1, 2)[:, :, None]   # cols[k, i, 0] is column i of element k
+    form = lorentz_inner(cols, cols.swapaxes(1, 2))   # form[k, i, j] = <column i, column j>
+    drift = np.max(np.abs(form - form[0]), axis=(1, 2))   # element 0 is the identity
     if np.any(drift > 1e-13):
         i = int(np.argmax(drift > 1e-13))
         raise AssertionError(f"group element {i} distorts the Lorentz form by {drift[i]:g}")

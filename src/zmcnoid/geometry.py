@@ -121,9 +121,9 @@ def _walk(a, b, tol, nearest, key=0.0, skip=-1):
     polyline) root pairs down, each level keeps the admissible box pairs
     whose gap is within the bound and expands them into their 16 children.
     The bound is tol.  With nearest it is max(tol, best), where best is
-    tightened at every level from the distances of the first segments of
-    the nearest 16 admissible box pairs; that needs a key that is constant
-    on each polyline, so that those segment pairs are admissible too.
+    tightened at every level from the distances of the first segments (at a
+    leaf, the segment itself) of the nearest 16 admissible box pairs; that
+    needs a key constant on each polyline, so those pairs are admissible too.
 
     Returns the leaf indices (I, J) of the surviving segment pairs and their
     distances d: every pair closer than tol is among them, and with nearest
@@ -162,7 +162,7 @@ def _walk(a, b, tol, nearest, key=0.0, skip=-1):
             sep = np.maximum(lo_a[x][I] - hi_b[x][J], lo_b[x][J] - hi_a[x][I])
             gap += np.square(np.maximum(sep, 0.0))
         gap = np.sqrt(gap)
-        if nearest and level and len(I):
+        if nearest and len(I):
             near = np.argpartition(gap, 15)[:16] if len(I) > 16 else slice(None)
             bound = min(bound, max(tol, float(distances(I[near], J[near], level).min())))
         keep = gap <= bound + slack

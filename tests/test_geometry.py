@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zmcnoid import analysis as an
 from zmcnoid import geometry as geo
 
 
@@ -344,6 +345,22 @@ def test_pruning_keeps_pairs_that_round_below_their_box_gap():
     assert math.hypot(*np.maximum(sep, 0.0)) > tol
     assert geo.polyline_pair_intersections(a, b, tol) == [(0, 0, d)]
     assert geo.polyline_set_scan(a[None], b[None], tol) == (1, d)
+
+
+def test_nearest_walk_does_not_stall():
+    # copy 0 against the other copies of each level slice, as the
+    # embeddedness scan walks them: the nearest bound must prune about as
+    # well as the exact minimum would, which a bound stale at the leaves
+    # does not when the closest segments lie outside the 16 nearest boxes
+    stalled = []
+    for n in range(3, 9):
+        for h in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
+            xy = np.stack([c.points[:, 1:3] for c in an.level_curve(n, h, 2048)])
+            d = geo._walk(xy[:1], xy[1:], geo.DEFAULT_TOLERANCE, True)[2]
+            exact = len(geo._walk(xy[:1], xy[1:], float(d.min()), False)[2])
+            if len(d) > max(2 * exact, 2000):
+                stalled.append((n, h, len(d), exact))
+    assert not stalled
 
 
 def forest_oracle(stack, key, depth):
