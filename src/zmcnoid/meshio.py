@@ -6,7 +6,8 @@ artifacts that are byte-identical across runs for identical inputs.  The
 text writers format whole blocks of rows in numpy, floats as their repr and
 ints as their str, on a thread pool when a table has two blocks or more;
 only subnormal floats, and floats whose rounding is too close to call in
-float64, go through repr itself.
+float64, go through repr itself.  Outputs are written over in place and cut
+to length, not opened with O_TRUNC, which makes ext4 flush them on close.
 
 Display coordinates are ordered (x, y, t) so the rotational axis points up
 in common viewers; the evaluator's native order is (t, x, y).
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,6 +385,17 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
             fh.write(ahead.popleft().result())
 
 
+@contextmanager
+def _rewrite(path: str):
+    """The file at path, written over in place; a regular file is cut where the writes end."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 # ---------------------------------------------------------------------------
 # OBJ
 # ---------------------------------------------------------------------------
@@ -414,12 +428,12 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
     the `f` records.  A bad mesh raises ValueError before any file opens.
     """
     _check_mesh(mesh)
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         _write_rows(fh, "v {} {} {}\n", *mesh.positions.astype(np.float64, copy=False).T)
         _write_rows(fh, "f {} {} {}\n", *mesh.faces.T.astype(np.int64) + 1)
         if mesh.vertex_count == 0 and mesh.face_count == 0:
             fh.write(b"\n")
-    with open(path + ".causal.csv", "wb") as fh:
+    with _rewrite(path + ".causal.csv") as fh:
         fh.write(b"vertex_index,causal\r\n")
         _write_rows(fh, "{},{}\r\n", np.arange(1, mesh.vertex_count + 1),
                     np.array(CAUSAL_NAMES, dtype=bytes)[mesh.causal])
@@ -483,11 +497,11 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
     faces["a"] = mesh.faces[:, 0]
     faces["b"] = mesh.faces[:, 1]
     faces["c"] = mesh.faces[:, 2]
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(b"\n")
-        fh.write(verts.tobytes())
-        fh.write(faces.tobytes())
+        fh.write(verts)
+        fh.write(faces)
 
 
 def read_ply(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -537,7 +551,7 @@ def export_level_curves(curves, path: str) -> None:
     if not np.isfinite(table[:, [0, 2, 3, 4, 5]]).all():
         raise ValueError("level curve samples must be finite")
     table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write(b"h,copy_index,param,x,y,t\r\n")
         _write_rows(fh, "{},{},{},{},{},{}\r\n", table[:, 0], table[:, 1].astype(np.int64),
                     *table[:, 2:].T)

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import runpy
+import stat
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -505,22 +506,31 @@ def test_a_failed_block_stops_the_writes(monkeypatch, block_mesh, tmp_path, thre
     positions = block_mesh.positions.copy()
     positions[row, 1] = marker
     mesh = dataclasses.replace(block_mesh, positions=positions)
-    _refuse_blocks_holding(monkeypatch, marker)
-    with pytest.raises(_Refused):
-        mio.export_obj(mesh, str(tmp_path / "m.obj"))
-    # blocks 0..k-1 of the vertex table, and nothing after them
-    lines = (tmp_path / "m.obj").read_bytes().splitlines(keepends=True)
-    assert len(lines) == k * mio._WRITE_BLOCK
-    assert lines == [f"v {x!r} {y!r} {t!r}\n".encode() for x, y, t in positions[:len(lines)].tolist()]
-
     curve = LevelCurve(n=3, h=0.5, copy_index=0, is_ray=False,
                        params=np.arange(3.0 * mio._WRITE_BLOCK), points=positions[:3 * mio._WRITE_BLOCK])
-    with pytest.raises(_Refused):
-        mio.export_level_curves([curve], str(tmp_path / "m.csv"))
-    lines = (tmp_path / "m.csv").read_bytes().splitlines(keepends=True)
-    assert len(lines) == 1 + k * mio._WRITE_BLOCK
-    assert lines[1:] == [f"0.5,0,{float(i)!r},{x!r},{y!r},{t!r}\r\n".encode()
-                         for i, (t, x, y) in enumerate(positions[:len(lines) - 1].tolist())]
+    obj, levels = tmp_path / "m.obj", tmp_path / "m.csv"
+    _refuse_blocks_holding(monkeypatch, marker)
+    for stale in (False, True):
+        if stale:
+            # longer files from complete exports before: none of their tail may stay
+            mio.export_obj(block_mesh, str(obj))
+            mio.export_level_curves([dataclasses.replace(curve, points=block_mesh.positions[:len(curve.params)])],
+                                    str(levels))
+            assert len(obj.read_bytes().splitlines()) > k * mio._WRITE_BLOCK
+            assert len(levels.read_bytes().splitlines()) > 1 + k * mio._WRITE_BLOCK
+        with pytest.raises(_Refused):
+            mio.export_obj(mesh, str(obj))
+        # blocks 0..k-1 of the vertex table, and nothing after them
+        lines = obj.read_bytes().splitlines(keepends=True)
+        assert len(lines) == k * mio._WRITE_BLOCK
+        assert lines == [f"v {x!r} {y!r} {t!r}\n".encode() for x, y, t in positions[:len(lines)].tolist()]
+
+        with pytest.raises(_Refused):
+            mio.export_level_curves([curve], str(levels))
+        lines = levels.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + k * mio._WRITE_BLOCK
+        assert lines[1:] == [f"0.5,0,{float(i)!r},{x!r},{y!r},{t!r}\r\n".encode()
+                             for i, (t, x, y) in enumerate(positions[:len(lines) - 1].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +715,80 @@ def test_mesh_writers_refuse_bad_faces_before_opening(tmp_path):
             with pytest.raises(ValueError, match=message):
                 writer(bad, str(tmp_path / "bad"))
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# writing over existing outputs
+# ---------------------------------------------------------------------------
+
+def _export_all(mesh, curves, stem):
+    """Write every output of the four writers at stem.*; return their paths."""
+    mio.export_ply(mesh, f"{stem}.ply")
+    mio.export_obj(mesh, f"{stem}.obj")
+    mio.export_level_curves(curves, f"{stem}.csv")
+    return [f"{stem}.ply", f"{stem}.obj", f"{stem}.obj.causal.csv", f"{stem}.csv"]
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_a_shorter_rewrite_leaves_no_stale_tail(small_mesh, tmp_path):
+    curves = level_curve(3, 0.5, 16)
+    fresh = _export_all(small_mesh, curves, tmp_path / "fresh")
+    larger = mio.tessellate(3, u_max=3.0, eps=0.02, grid=(32, 48))
+    old = _export_all(larger, level_curve(3, 0.5, 64) + level_curve(3, 0.0, 64), tmp_path / "old")
+    sizes = [os.path.getsize(p) for p in old]
+    assert all(os.path.getsize(p) < size for p, size in zip(fresh, sizes))
+    assert [_read(p) for p in _export_all(small_mesh, curves, tmp_path / "old")] == [_read(p) for p in fresh]
+
+
+def test_ply_and_level_curves_write_to_devnull(small_mesh):
+    mio.export_ply(small_mesh, os.devnull)
+    mio.export_level_curves(level_curve(3, 0.5, 16), os.devnull)
+
+
+def test_a_symlinked_output_is_written_through(small_mesh, tmp_path):
+    curves = level_curve(3, 0.5, 16)
+    fresh = _export_all(small_mesh, curves, tmp_path / "fresh")
+    links = [tmp_path / f"link{suffix}" for suffix in (".ply", ".obj", ".obj.causal.csv", ".csv")]
+    targets = [tmp_path / f"target{i}" for i in range(len(links))]
+    for link, target in zip(links, targets):
+        target.write_bytes(b"stale\n" * 10**5)
+        link.symlink_to(target)
+    _export_all(small_mesh, curves, tmp_path / "link")
+    for link, target, path in zip(links, targets, fresh):
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == _read(path)
+
+
+def test_an_existing_output_keeps_its_mode(small_mesh, tmp_path):
+    curves = level_curve(3, 0.5, 16)
+    for path in _export_all(small_mesh, curves, tmp_path / "m"):
+        os.chmod(path, 0o640)
+    for path in _export_all(small_mesh, curves, tmp_path / "m"):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+
+def test_every_output_is_rewritten_without_truncation(small_mesh, tmp_path, monkeypatch):
+    # O_TRUNC on a file that holds data makes ext4 flush the new file on
+    # close (auto_da_alloc); a writer that goes back to open(path, "wb")
+    # opens without os.open, and drops out of the list below
+    curves = level_curve(3, 0.5, 16)
+    paths = _export_all(small_mesh, curves, tmp_path / "m")
+    opened, os_open = [], os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    _export_all(small_mesh, curves, tmp_path / "m")
+    opened = [(path, flags) for path, flags in opened if path.startswith(str(tmp_path))]
+    assert [path for path, _ in opened] == paths
+    for path, flags in opened:
+        assert flags & os.O_CREAT and not flags & os.O_TRUNC, path
 
 
 # ---------------------------------------------------------------------------
