@@ -729,11 +729,6 @@ def _export_all(mesh, curves, stem):
     return [f"{stem}.ply", f"{stem}.obj", f"{stem}.obj.causal.csv", f"{stem}.csv"]
 
 
-def _read(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def test_a_shorter_rewrite_leaves_no_stale_tail(small_mesh, tmp_path):
     curves = level_curve(3, 0.5, 16)
     fresh = _export_all(small_mesh, curves, tmp_path / "fresh")
@@ -741,7 +736,8 @@ def test_a_shorter_rewrite_leaves_no_stale_tail(small_mesh, tmp_path):
     old = _export_all(larger, level_curve(3, 0.5, 64) + level_curve(3, 0.0, 64), tmp_path / "old")
     sizes = [os.path.getsize(p) for p in old]
     assert all(os.path.getsize(p) < size for p, size in zip(fresh, sizes))
-    assert [_read(p) for p in _export_all(small_mesh, curves, tmp_path / "old")] == [_read(p) for p in fresh]
+    rewritten = _export_all(small_mesh, curves, tmp_path / "old")
+    assert [pathlib.Path(p).read_bytes() for p in rewritten] == [pathlib.Path(p).read_bytes() for p in fresh]
 
 
 def test_ply_and_level_curves_write_to_devnull(small_mesh):
@@ -760,7 +756,7 @@ def test_a_symlinked_output_is_written_through(small_mesh, tmp_path):
     _export_all(small_mesh, curves, tmp_path / "link")
     for link, target, path in zip(links, targets, fresh):
         assert link.is_symlink() and link.resolve() == target.resolve()
-        assert target.read_bytes() == _read(path)
+        assert target.read_bytes() == pathlib.Path(path).read_bytes()
 
 
 def test_an_existing_output_keeps_its_mode(small_mesh, tmp_path):
