@@ -3,9 +3,9 @@
 One closed-form kernel for the u-partials and Jacobian minors
 (``surface_partials``), immersion certification, contour solving for the
 height function, level-curve assembly, monotonicity and sector certificates
-decided by sign chains on that kernel's contour slopes and a pinwheel lemma,
-polyline embeddedness scans, boundary-approach divergence probes, and a
-finite-difference zero-mean-curvature residual.
+for every height of an order at once (that kernel's slopes on a fixed wedge
+grid and a pinwheel lemma), polyline embeddedness scans, boundary-approach
+divergence probes, and a finite-difference zero-mean-curvature residual.
 
 Everything here consumes the domain check and the surface evaluator from
 ``extension`` and the Chebyshev kernels and factored denominator from
@@ -40,9 +40,9 @@ CORNER_LOG_GAP_FLOOR = math.log(1.05e-12)
 INTERIOR_LOG_GAP_FLOOR = -2.0e5
 # mean_curvature_residual rejects points where |EG - F^2| is at most this
 FOLD_DET_GUARD = 1e-6
-# region_Dh_certificate's rounding allowance where two sectors share a line
+# region_Dh_certificate's rounding allowance where two sectors of D_1 share a line
 SECTOR_SLACK = 1e-13
-# the sign chains of the slice certificates evaluate U_{2n-2} (surface_partials)
+# the slice certificates evaluate U_{2n-2} (surface_partials)
 _CHAIN_MAX_ORDER = MAX_DEGREE // 2 + 1
 
 # lower-bound margins for the zero-mean-curvature verification grid, per n:
@@ -165,8 +165,8 @@ def contour_u(n: int, h: float, theta):
 def _fundamental_arc_thetas(n: int, m: int, tip_frac: float = 0.0):
     # cosine clustering: the contour has infinite slope at both endpoints.
     # tip_frac > 0 floors the grid away from theta = 0, where evaluation noise
-    # grows like 1/theta at large h; the certificates' sign chains cover the
-    # floored-off sliver with the exact tip limit x1 -> -h
+    # grows like 1/theta at large h; curve_monotonicity_report's sampled
+    # fields use it, and its verdict covers the whole open arc
     i = np.arange(m)
     start = tip_frac * (math.pi / n)
     return start + (math.pi / n - start) * 0.5 * (1.0 - np.cos(math.pi * (i + 0.5) / m))
@@ -234,7 +234,7 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
 
 
 # ---------------------------------------------------------------------------
-# monotonicity and sector certificates: sign chains on the contour slopes
+# monotonicity and sector certificates: the slice facts of one order
 # ---------------------------------------------------------------------------
 
 def _check_chain_order(n: int) -> None:
@@ -244,25 +244,22 @@ def _check_chain_order(n: int) -> None:
                          f"sign chains accept")
 
 
-def _arc_slopes(n: int, h: float, samples: int):
-    # the floored arc, its kernel slopes dxk/dtheta = J0k / (dx0/du), their
-    # reduced form (-sin, cos)((n-1) theta) U_{n-2} / (U_{n-1} sin(n theta)),
-    # and the signs of its four factors, all positive wherever u > cos(pi/n)
-    thetas = _fundamental_arc_thetas(n, samples, tip_frac=1e-4)
-    u = contour_u(n, h, thetas)
+def _slice_facts(n: int):
+    # (passed, gap_x1, gap_x2) for every h at once: the kernel slopes against
+    # their reduced form, worst relative gap per component, and the reduced
+    # form's four factors > 0, on 32 angles x 32 gaps 1e-6..10 above cos(theta)
+    _check_chain_order(n)
+    thetas = _fundamental_arc_thetas(n, 32)
+    u = np.cos(thetas) + np.geomspace(1e-6, 10.0, 32)[:, None]
     f_u, j01, j02 = surface_partials(n, u, thetas)
-    slopes = np.stack([j01, j02]) / f_u[:, 0]
     u_n2, u_n1 = eval_U(n - 2, u), eval_U(n - 1, u)
     sin_n1, sin_n = np.sin((n - 1) * thetas), np.sin(n * thetas)
     ratio = u_n2 / u_n1 / sin_n
     reduced = np.stack([-ratio * sin_n1, ratio * np.cos((n - 1) * thetas)])
-    positive = bool(np.all(np.stack([u_n2, u_n1, sin_n1, sin_n]) > 0.0))
-    return thetas, u, slopes, reduced, positive
-
-
-def _turns_once_at(slope, thetas, turn: float, first: float) -> bool:
-    # slope has the sign of `first` before theta = turn and the other after
-    return bool(np.all(np.sign(slope) == np.where(thetas < turn, first, -first)))
+    slopes = np.stack([j01, j02]) / f_u[..., 0]
+    gaps = np.max(np.abs(slopes - reduced) / np.abs(reduced), axis=(1, 2))
+    positive = all(bool(np.all(f > 0.0)) for f in (u_n2, u_n1, sin_n1, sin_n))
+    return positive and bool(np.all(gaps < 1e-12)), float(gaps[0]), float(gaps[1])
 
 
 @dataclass(frozen=True)
@@ -284,34 +281,32 @@ class MonotonicityReport:
 def curve_monotonicity_report(n: int, h: float) -> MonotonicityReport:
     """Monotone x1 / unimodal x2 structure of the fundamental arc.
 
-    A sign chain: along x0 = h,
+    Along x0 = h the slopes J0k / (dx0/du) reduce pointwise to
 
         dx1/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta) / sin(n theta)
-        dx2/dtheta = +(U_{n-2} / U_{n-1}) cos((n-1) theta) / sin(n theta)
+        dx2/dtheta = +(U_{n-2} / U_{n-1}) cos((n-1) theta) / sin(n theta).
 
-    with every factor but cos((n-1) theta) positive on the open wedge, so x1
-    falls from its exact tip limit -h (the rational part tends to -h, the log
-    sum cancels under j <-> n - j) and x2 turns once, at pi/(2(n-1)).  It
-    passes when the factors and kernel slopes have these signs and the slopes
-    match the reduced ratios to 1e-12 relative (derivative_max_error_*).  The
-    other fields sample the arc at grid_size = 1000 angles; near the tip at
-    large h they see rounding.
+    Each arc with h > 0 lies in the wedge 0 < theta < pi/n, u > cos(theta)
+    (T_n(u) - cos(n theta) = sin(n theta)/(nh) > 0), where U_{n-2}, U_{n-1}
+    (largest zeros cos(pi/(n-1)), cos(pi/n)), sin((n-1) theta) and sin(n
+    theta) are positive.  So x1 falls from its exact tip limit -h (the
+    rational part tends to -h, the log sum cancels under j <-> n - j) and x2
+    turns once, at pi/(2(n-1)), for every h at once.  It passes when, on 32
+    angles x 32 gaps of that wedge, both sheets, the factors are positive and
+    the kernel slopes match the reduced ratios to 1e-12 relative
+    (derivative_max_error_*).  The other fields sample the arc at grid_size =
+    1000 angles, floored at 1e-4 of the wedge; at large h they see rounding.
     """
-    _check_chain_order(n)
+    passed, err1, err2 = _slice_facts(n)
     grid_size = 1000
-    thetas, u, slopes, reduced, positive = _arc_slopes(n, h, grid_size)
-    xs, ys = eval_extended_grid(n, u, thetas)[:, 1:].T
+    thetas = _fundamental_arc_thetas(n, grid_size, tip_frac=1e-4)
+    xs, ys = eval_extended_grid(n, contour_u(n, h, thetas), thetas)[:, 1:].T
     decreasing = bool(np.all(np.diff(xs) < 0.0))
     below = bool(np.all(xs < -h))
     imax = int(np.argmax(ys))
     unimodal = bool(np.all(np.diff(ys)[:imax] > 0.0) and np.all(np.diff(ys)[imax:] < 0.0))
     expected = math.pi / (2.0 * (n - 1))
     iexp = int(np.argmin(np.abs(thetas - expected)))
-    offset = abs(imax - iexp)
-    err1, err2 = (float(e) for e in np.max(np.abs(slopes - reduced) / np.abs(reduced), axis=1))
-    ok = (positive and bool(np.all(slopes[0] < 0.0))
-          and _turns_once_at(slopes[1], thetas, expected, 1.0)
-          and err1 < 1e-12 and err2 < 1e-12)
     return MonotonicityReport(
         n=n, h=h, grid_size=grid_size,
         x1_strictly_decreasing=decreasing,
@@ -319,10 +314,10 @@ def curve_monotonicity_report(n: int, h: float) -> MonotonicityReport:
         x2_unimodal=unimodal,
         x2_argmax_theta=float(thetas[imax]),
         x2_argmax_expected=expected,
-        x2_argmax_cell_offset=offset,
+        x2_argmax_cell_offset=abs(imax - iexp),
         derivative_max_error_x1=err1,
         derivative_max_error_x2=err2,
-        passed=ok,
+        passed=passed,
     )
 
 
@@ -351,48 +346,45 @@ def _sector(c: float, s: float, h: float):
     return np.array([[-1.0, 0.0], [c, -s]]), np.array([h, -h])
 
 
-def region_Dh_certificate(n: int, h: float, arc_samples: int = 2000) -> RegionReport:
+def region_Dh_certificate(n: int, h: float) -> RegionReport:
     """Containment of the fundamental arc in its sector, and of no other copy.
 
-    D_h = {x < -h, phi_h > 0}, phi_h = x cos(2 pi/n) - y sin(2 pi/n) + h.  A
-    sign chain on arc_samples angles: the arc is a graph with x1 < -h (see
-    ``curve_monotonicity_report``), and dphi_h/dtheta = -(U_{n-2} / U_{n-1})
-    sin((n-1) theta + 2 pi/n) / sin(n theta) turns from - to + only at theta0
-    = (n-2) pi / ((n-1) n), so phi_at_theta0 = Phi(h) > 0 settles phi_h > 0.
-    Phi rises from 0 at the rate upsilon, which increases on u >= cos(theta0)
-    from upsilon_min = 2 sin^2(pi/n).
+    D_h = {x < -h, phi_h > 0}, phi_h = x cos(2 pi/n) - y sin(2 pi/n) + h.  The
+    arc is a graph with x1 < -h (``curve_monotonicity_report``), and on the
+    same wedge dphi_h/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta + 2 pi/n)
+    / sin(n theta) turns from - to + only at theta0 = (n-2) pi / ((n-1) n),
+    where (n-1) theta0 + 2 pi/n = pi.  So phi_at_theta0 = Phi(h) > 0, the one
+    contour point at h, settles phi_h > 0.  Phi rises from 0 at the rate
+    upsilon, which increases on u >= cos(theta0) from 2 sin^2(pi/n).
 
     copies_outside is the pinwheel lemma.  For a_j at angle pi + 2 pi j/n,
     R^k D_h is P_{-k} of the pieces P_j = {a_j . p > h > a_{j-1} . p}.  Proof:
     a_j . p > h holds on a cyclic run of j, never on all n (the a_j sum to 0),
-    and p lies in P_j only if the run starts at j.  Per copy, a line of D_h or
-    R^k D_h has the other wedge, apex and edges, beyond it, up to SECTOR_SLACK
-    (times h for offsets) at the line that adjacent pieces share: rounding
-    moves those ties by at most 2.8e-16 for n = 3..65, h in [1e-6, 1e6];
-    moving the phi_h line out by a relative 1e-11, or R built for n + 1, fails.
+    and p lies in P_j only if the run starts at j.  D_h = h D_1, and rotations
+    commute with scaling, so it is checked once, at h = 1: per copy, a line of
+    D_1 or R^k D_1 has the other wedge, apex and edges, beyond it, up to the
+    absolute SECTOR_SLACK at the line that adjacent pieces share.  Rounding
+    moves those ties by at most 3.1e-15 for n = 3..65; moving the phi_h line
+    out by a relative 1e-11, or R built for n + 1, fails.  It passes when the
+    slope facts, upsilon_min > 0, copies_outside and phi_at_theta0 > 0 hold.
     """
-    _check_chain_order(n)
-    if arc_samples < 16:
-        raise ValueError(f"need at least 16 arc samples, got {arc_samples!r}")
-    thetas, _, slopes, _, positive = _arc_slopes(n, h, arc_samples)
+    passed = _slice_facts(n)[0]
     c, s = math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)
-    normals, offsets = _sector(c, s, h)
+    normals, offsets = _sector(c, s, 1.0)
     apex = np.linalg.solve(normals, offsets)
     # edge i leaves the apex along line i, into the half-plane of the other
     edges = normals[:, ::-1] * np.array([[-1.0, 1.0], [1.0, -1.0]])
-    # columns of lines[k - 1]: copy k's normals; D_h is beyond a line if its apex and edges are
+    # columns of lines[k - 1]: copy k's normals; D_1 is beyond a line if its apex and edges are
     lines = group_elements(n)[2::2, 1:, 1:] @ normals.T
-    beyond = np.any((apex @ lines <= offsets + SECTOR_SLACK * h)
+    beyond = np.any((apex @ lines <= offsets + SECTOR_SLACK)
                     & np.all(edges @ lines <= SECTOR_SLACK, axis=1), axis=1)
-    # turned by R^-k = R^(n-k), D_h's lines against copy k are copy n-k's against D_h
+    # turned by R^-k = R^(n-k), D_1's lines against copy k are copy n-k's against D_1
     copies_outside = bool(np.all(beyond | beyond[::-1]))
     theta0 = (n - 2) * math.pi / ((n - 1) * n)
     p0 = eval_extended_grid(n, contour_u(n, h, theta0), theta0)
     phi0 = float(p0[1] * c - p0[2] * s + h)
     ups_min = upsilon(n, math.cos(theta0))
-    ok = (positive and bool(np.all(slopes[0] < 0.0))
-          and _turns_once_at(c * slopes[0] - s * slopes[1], thetas, theta0, -1.0)
-          and phi0 > 0.0 and ups_min > 0.0 and copies_outside)
+    ok = passed and phi0 > 0.0 and ups_min > 0.0 and copies_outside
     return RegionReport(n=n, h=h, theta0=theta0, copies_outside=copies_outside,
                         phi_at_theta0=phi0, upsilon_min=ups_min, passed=ok)
 
@@ -432,7 +424,7 @@ def _scan_height(n: int, h: float, samples: int, tol: float) -> HeightScan:
     # other covers all pairs
     cross_hits, min_cross = polyline_set_scan(xy[:1], xy[1:], tol)
     # the mirrored slice is an isometric image: its sector statement is that of |h|
-    sector = region_Dh_certificate(n, abs(h), arc_samples=samples).passed
+    sector = region_Dh_certificate(n, abs(h)).passed
     ok = self_hits == 0 and cross_hits == 0 and sector and min_cross > 0.0
     return HeightScan(
         h=h, self_intersections=self_hits, cross_intersections=cross_hits,
@@ -474,9 +466,10 @@ def embeddedness_scan(
     segment tests against every rotated copy, and the sector certificate;
     height zero checks that the 2n rays are straight, positively traversed,
     pairwise disjoint, and miss the origin (their common limit).  Any hit
-    is counted; a clean report is the embeddedness evidence.  A nonzero
-    height needs n <= 65, the orders the sector sign chains reach; past that
-    the scan raises ValueError before it evaluates any slice.
+    is counted; a clean report is sampled evidence beside the sector
+    certificate, whose verdict is one per order (h enters it at one contour
+    point).  A nonzero height needs n <= 65, the orders that certificate
+    reaches; past that the scan raises ValueError before it evaluates any slice.
     """
     check_order(n, 3)
     tol = check_tolerance(tol)

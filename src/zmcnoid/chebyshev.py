@@ -29,9 +29,10 @@ import math
 
 import numpy as np
 
-# Degrees are small in this package (surface order n <= 64, so polynomial
-# degree <= 2n - 2 = 126).  The recurrence is accurate in that range; reject
-# anything larger instead of silently degrading.
+# Degrees are small in this package: the slice certificates reach n = 65
+# (U_{2n-2} = U_128) and the surface evaluator n = 129 (T_{n-1} = T_128).  The
+# recurrence is accurate in that range; reject anything larger instead of
+# silently degrading.
 MAX_DEGREE = 128
 
 

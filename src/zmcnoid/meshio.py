@@ -425,15 +425,17 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
 
     OBJ has no standard per-vertex scalar channel, so the causal attribute
     rides in a CSV of (vertex_index, causal) with 1-based indices matching
-    the `f` records.  A bad mesh raises ValueError before any file opens.
+    the `f` records; an OBJ sent to os.devnull sends its sidecar there too.
+    A bad mesh raises ValueError before any file opens.
     """
     _check_mesh(mesh)
+    sidecar = os.devnull if path == os.devnull else path + ".causal.csv"
     with _rewrite(path) as fh:
         _write_rows(fh, "v {} {} {}\n", *mesh.positions.astype(np.float64, copy=False).T)
         _write_rows(fh, "f {} {} {}\n", *mesh.faces.T.astype(np.int64) + 1)
         if mesh.vertex_count == 0 and mesh.face_count == 0:
             fh.write(b"\n")
-    with _rewrite(path + ".causal.csv") as fh:
+    with _rewrite(sidecar) as fh:
         fh.write(b"vertex_index,causal\r\n")
         _write_rows(fh, "{},{}\r\n", np.arange(1, mesh.vertex_count + 1),
                     np.array(CAUSAL_NAMES, dtype=bytes)[mesh.causal])

@@ -745,6 +745,22 @@ def test_ply_and_level_curves_write_to_devnull(small_mesh):
     mio.export_level_curves(level_curve(3, 0.5, 16), os.devnull)
 
 
+def test_obj_and_its_sidecar_write_to_devnull(small_mesh, monkeypatch):
+    # path + ".causal.csv" would be a real file under /dev; refuse it before it opens
+    opened = []
+    real_open = os.open
+
+    def spy(path, *args):
+        if os.fspath(path) == os.devnull + ".causal.csv":
+            raise AssertionError(f"export_obj opened {path}")
+        opened.append(path)
+        return real_open(path, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    mio.export_obj(small_mesh, os.devnull)
+    assert opened == [os.devnull, os.devnull]
+
+
 def test_a_symlinked_output_is_written_through(small_mesh, tmp_path):
     curves = level_curve(3, 0.5, 16)
     fresh = _export_all(small_mesh, curves, tmp_path / "fresh")
