@@ -267,17 +267,16 @@ def fold_to_fundamental(n: int, theta):
 
     Uses theta = 2 pi k / n + delta first (g gains R^k), then a reflection
     when delta > pi/n (g gains R S, from f(u, delta) = R S f(u, 2 pi/n - delta)).
+    Both come from ``group_elements``: R^k, and R^(k+1) S = S R^(n-1-k).
     Array theta gives theta' of the same shape and g of shape theta.shape +
     (3, 3); scalar theta gives a float and one 3x3 matrix.
     """
-    R = rotation_matrix(n)
     period = 2.0 * math.pi / n
     th = np.asarray(theta, dtype=float) % (2.0 * math.pi)
     k = np.floor(th / period)
     delta = th - k * period
-    # matrix_power, not group_elements: seed-42 verify records pin its R^j rounding
-    turns = np.stack([np.linalg.matrix_power(R, j) for j in range(n)])
-    flips = np.stack([m @ R @ reflection_matrix() for m in turns])
+    group = group_elements(n)
+    turns, flips = group[::2], group[-1::-2]
     reflect = delta > math.pi / n
     j = k.astype(int) % n
     folded = np.where(reflect, period - delta, delta)

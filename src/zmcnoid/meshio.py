@@ -231,7 +231,8 @@ def _shortest_digits(a: np.ndarray):
     it, padded to 17 digits.  The nearest double to 10^e counts as exponent
     e even when it lies below 10^e, and its digits are then 10^16.  A zero
     gives digits 0 and exp -1.  Where slow is set, a is subnormal or a
-    residual is within _TIE of a decision, and both are void.
+    residual is within _TIE of a decision other than an exact 16-digit
+    tie, and both are void.
     """
     mantissa, binexp = np.frexp(a)
     # floor(log10 2^(binexp - 1)) for |binexp| <= 1076, then one step up
@@ -262,10 +263,17 @@ def _shortest_digits(a: np.ndarray):
     half_up = np.ldexp(mh, binexp + shift - 54)
     half_down = np.where(mantissa == 0.5, 0.5 * half_up, half_up)
     up16, up15 = (u16 > 5.0) | (u16 >= half_down), u15 > 50.0
+    # an exact 16-digit tie (r17 is exact where ml = 0) also goes up to an even
+    # last digit, as in repr; most blocks hold no candidate and skip the rest
+    tie16 = u16 == 5.0
+    if tie16.any():
+        tie16 &= (r17 == 0.0) & (ml == 0.0)
+        up16 |= tie16 & (q16 & 1 == 1)
     v16, v15 = np.abs(u16 - 10.0 * up16), np.abs(u15 - 100.0 * up15)
     h16, h15 = np.where(up16, half_up, half_down), np.where(up15, half_up, half_down)
-    slow = ((binexp < -1021) | (np.abs(v16 - 5.0) < _TIE) | (np.abs(u16 - half_down) < _TIE)
-            | (np.abs(v16 - h16) < _TIE) | (np.abs(v15 - h15) < _TIE))
+    slow = ((binexp < -1021) | ((np.abs(v16 - 5.0) < _TIE) & ~tie16)
+            | (np.abs(u16 - half_down) < _TIE) | (np.abs(v16 - h16) < _TIE)
+            | (np.abs(v15 - h15) < _TIE))
     digits = np.where(v16 < h16, (q16 + up16) * 10, d17)
     digits = np.where(v15 < h15, (q15 + up15) * 100, digits)
     return digits, row + _EXP_MIN, slow

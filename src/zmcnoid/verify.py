@@ -214,7 +214,7 @@ def _check_positivity(rng, n):
 
 def _check_null_form(rng, n):
     a = alpha(JorgeMeeksData(n), _sample_z(rng, n, 1000))
-    num = np.abs(-a[0] ** 2 + a[1] ** 2 + a[2] ** 2)
+    num = np.abs(lorentz_inner(a.T, a.T))
     den = np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2 + np.abs(a[2]) ** 2
     return {"samples": 1000}, np.max(num / den)
 
@@ -229,7 +229,7 @@ def _check_lift_agreement(rng, n):
         zs.extend(z[clearance.min(axis=1) > 0.06])
     zs = np.array(zs[:100])
     numeric = np.array(integrate_lift_numeric(data, zs))
-    closed = np.array([lift_closed_form(data, z) for z in zs]).T
+    closed = np.array(lift_closed_form(data, zs))
     return {"samples": 100}, np.max(np.abs(closed.real - numeric.real))
 
 

@@ -8,9 +8,10 @@ vector-valued form
 
 is exact up to periods; its primitive F = (X0, X1, X2) has the closed form
 implemented in ``lift_closed_form`` (principal log branch, real part zero at
-z = 0).  The surface itself is the real part, written in polar coordinates by
-``f_polar``.  Points of Lorentz-Minkowski 3-space are ordered (t, x, y) with
-inner product <v, w> = -v_t w_t + v_x w_x + v_y w_y.
+z = 0), on scalars and arrays alike.  The surface is its real part Re F on
+both sides of the fold |z| = 1; ``f_polar`` takes it at z = r e^(i theta).
+Points of Lorentz-Minkowski 3-space are ordered (t, x, y) with inner product
+<v, w> = -v_t w_t + v_x w_x + v_y w_y.
 
 ``integrate_lift_numeric`` is the independent oracle: it integrates alpha
 along the segment [0, z] by adaptive Gauss-Kronrod quadrature and never
@@ -20,7 +21,6 @@ around the punctures are purely imaginary, so the real part is single valued.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,20 +31,19 @@ from .chebyshev import check_order
 from .quadrature import integrate_polyline
 
 PUNCTURE_GUARD = 1e-12
-POLAR_GUARD = 1e-14
 PATH_CLEARANCE = 0.05
 
 
 class PunctureError(ValueError):
     """Evaluation requested too close to a puncture z = zeta^j.
 
-    n, the first offending z and the guard (PUNCTURE_GUARD on |z^n - 1|, or
-    POLAR_GUARD on |z^n - 1|^2) are attributes and in the message.
+    n, the first offending z and the guard PUNCTURE_GUARD on |z^n - 1| are
+    attributes and in the message.
     """
 
-    def __init__(self, n, z, guard, quantity="|z^n - 1|"):
+    def __init__(self, n, z, guard):
         self.n, self.z, self.guard = n, z, guard
-        super().__init__(f"n={n}: z = {z!r} has {quantity} <= {guard:g}: "
+        super().__init__(f"n={n}: z = {z!r} has |z^n - 1| <= {guard:g}: "
                          "too close to a puncture, where alpha has a double pole")
 
 
@@ -64,9 +63,9 @@ def lorentz_inner(v, w):
     """Inner product of signature (-, +, +) in the (t, x, y) ordering.
 
     Contracts the last axis, so stacks of vectors give an array of products.
+    Complex vectors contract without conjugation, as in the null form of alpha.
     """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    v, w = (np.asarray(x, dtype=complex if np.iscomplexobj(x) else float) for x in (v, w))
     return -v[..., 0] * w[..., 0] + v[..., 1] * w[..., 1] + v[..., 2] * w[..., 2]
 
 
@@ -103,11 +102,22 @@ class JorgeMeeksData:
         return np.exp(2j * math.pi * j / self.n)
 
 
-def _check_punctures(data: JorgeMeeksData, z) -> None:
+def _check_finite(z) -> np.ndarray:
+    """z as a complex array; a ValueError names its first non-finite point."""
     za = np.asarray(z, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(za))
+    if bad.size:
+        raise ValueError(f"z = {complex(za.flat[bad[0]])!r} is not finite")
+    return za
+
+
+def _check_punctures(data: JorgeMeeksData, z) -> np.ndarray:
+    """z as a finite complex array with |z^n - 1| > PUNCTURE_GUARD everywhere."""
+    za = _check_finite(z)
     bad = np.flatnonzero(np.abs(za ** data.n - 1.0) <= PUNCTURE_GUARD)
     if bad.size:
         raise PunctureError(data.n, complex(za.flat[bad[0]]), PUNCTURE_GUARD)
+    return za
 
 
 def alpha(data: JorgeMeeksData, z):
@@ -116,9 +126,8 @@ def alpha(data: JorgeMeeksData, z):
     Returns an array of shape (3,) + shape(z).  The triple is isotropic:
     -a0^2 + a1^2 + a2^2 = 0 identically.
     """
-    _check_punctures(data, z)
+    za = _check_punctures(data, z)
     n = data.n
-    za = np.asarray(z, dtype=complex)
     den = (za ** n - 1.0) ** 2
     a0 = -2j * za ** (n - 1) / den
     a1 = 1j * (1.0 + za ** (2 * n - 2)) / den
@@ -130,23 +139,30 @@ def lift_closed_form(data: JorgeMeeksData, z) -> HolomorphicLift:
     """Closed form of the primitive F(z) = (X0, X1, X2), principal log branch.
 
     With this branch Re F(0) = (0, 0, 0), so Re F is the surface itself with
-    no further normalization.  Scalar z only; use ``alpha`` +
-    ``integrate_lift_numeric`` for independent values.
+    no further normalization.  Scalar z gives complex fields, array z arrays
+    of its shape; a point gets the same bits alone or in any array.  Use
+    ``alpha`` + ``integrate_lift_numeric`` for independent values.
     """
-    _check_punctures(data, z)
+    za = _check_punctures(data, z)
     n = data.n
-    zc = complex(z)
+    zc = za.reshape(-1)  # numpy's scalar complex arithmetic rounds unlike its array loops
     zn = zc ** n - 1.0
-    p = data.punctures
-    logs = [np.log(complex(zc - q)) for q in p]
     c = (n - 1) / n ** 2
+    ang = 2.0 * math.pi * np.arange(n) / n
+    # log(z - p) as (log|d|, arg d) float pairs, in a third of the time of
+    # numpy's complex log; the weights (p - conj p)/i = 2 sin and p + conj p
+    # = 2 cos act on them as floats, as a broadcast complex product rounds by N
+    d = zc - data.punctures[:, None]
+    parts = np.stack([np.log(np.hypot(d.real, d.imag)), np.arctan2(d.imag, d.real)], axis=-1)
+    parts = parts.reshape(n, -1)
+    s1 = sum(w * row for w, row in zip(2.0 * c * np.sin(ang), parts)).view(complex)
+    s2 = sum(w * row for w, row in zip(2.0 * c * np.cos(ang), parts)).view(complex)
 
     X0 = 2j / (n * zn)
-    s1 = sum((p[j] - p[j].conjugate()) * logs[j] for j in range(1, n))
-    X1 = -1j * (zc * (zc ** (n - 2) + 1.0) / (n * zn) + c * s1)
-    s2 = sum((p[j] + p[j].conjugate()) * logs[j] for j in range(n))
-    X2 = -zc * (zc ** (n - 2) - 1.0) / (n * zn) + c * s2
-    return HolomorphicLift(complex(X0), complex(X1), complex(X2))
+    X1 = -1j * zc * (zc ** (n - 2) + 1.0) / (n * zn) + s1
+    X2 = -zc * (zc ** (n - 2) - 1.0) / (n * zn) + s2
+    return HolomorphicLift(*(X.reshape(za.shape) if za.ndim else complex(X[0])
+                             for X in (X0, X1, X2)))
 
 
 def _segment_puncture_distance(a, b, p):
@@ -171,7 +187,7 @@ def integrate_lift_numeric(data: JorgeMeeksData, z) -> HolomorphicLift:
     A 1-D array z integrates every point along its own segment in one
     batched pass and gives array fields.
     """
-    zs = np.asarray(z, dtype=complex)
+    zs = _check_finite(z)
     ends = zs.reshape(-1)
     moving = ends != 0
     tips = ends[moving]
@@ -241,38 +257,14 @@ def period_residual(data: JorgeMeeksData, j: int) -> float:
 
 
 def f_polar(data: JorgeMeeksData, r, theta):
-    """The surface in polar coordinates z = r e^(i theta).
+    """The surface Re F(z) at z = r e^(i theta), from ``lift_closed_form``.
 
     Scalars give a LorentzVec3; arrays give an ndarray of shape
-    broadcast(r, theta) + (3,) in (t, x, y) order.  The denominator
-    r^(2n) - 2 r^n cos(n theta) + 1 must stay above POLAR_GUARD.
+    broadcast(r, theta) + (3,) in (t, x, y) order, each point with the bits
+    it has alone.  |z^n - 1| must stay above PUNCTURE_GUARD.
     """
-    n = data.n
-    ra = np.asarray(r, dtype=float)
-    ta = np.asarray(theta, dtype=float)
-    scalar = ra.ndim == 0 and ta.ndim == 0
-    rn = ra ** n
-    den = ra ** (2 * n) - 2.0 * rn * np.cos(n * ta) + 1.0
-    bad = np.flatnonzero(den <= POLAR_GUARD)
-    if bad.size:
-        rb, tb = (np.broadcast_to(x, den.shape).flat[bad[0]] for x in (ra, ta))
-        raise PunctureError(n, cmath.rect(rb, tb), POLAR_GUARD,
-                            "r^(2n) - 2 r^n cos(n theta) + 1 = |z^n - 1|^2")
-    D = n * den
-    c = (n - 1) / n ** 2
-
-    x0 = 2.0 * rn * np.sin(n * ta) / D
-    x1 = -((ra ** (2 * n - 1) + ra) * np.sin(ta)
-           + (ra ** (n + 1) + ra ** (n - 1)) * np.sin((n - 1) * ta)) / D
-    x2 = (-(ra ** (2 * n - 1) + ra) * np.cos(ta)
-          + (ra ** (n + 1) + ra ** (n - 1)) * np.cos((n - 1) * ta)) / D
-    for j in range(1, n):
-        ang = 2.0 * math.pi * j / n
-        x1 = x1 + c * np.log(ra * ra - 2.0 * ra * np.cos(ta - ang) + 1.0) * math.sin(ang)
-    for j in range(n):
-        ang = 2.0 * math.pi * j / n
-        x2 = x2 + c * np.log(ra * ra - 2.0 * ra * np.cos(ta - ang) + 1.0) * math.cos(ang)
-
-    if scalar:
-        return LorentzVec3(float(x0), float(x1), float(x2))
-    return np.stack(np.broadcast_arrays(x0, x1, x2), axis=-1)
+    ra, ta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+    with np.errstate(invalid="ignore"):  # a non-finite r or theta makes z non-finite
+        z = ra.reshape(-1) * np.exp(1j * ta.reshape(-1))
+    out = np.stack([X.real for X in lift_closed_form(data, z)], axis=-1)
+    return LorentzVec3(*out[0].tolist()) if ra.ndim == 0 else out.reshape(ra.shape + (3,))

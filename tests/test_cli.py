@@ -186,9 +186,9 @@ def test_verify_stdout_byte_identical(capsys):
 # SHA-256 of `verify --seed S` stdout; any change to the draws or their
 # order moves these bytes
 VERIFY_DIGESTS = {
-    42: "1a9a1729c9ac6aacf2325fde2c524c1a82ea4fefa251a7feaaa82b10af19aa45",
-    0: "93d492ad80b02fa494e0e379771c8b33ecf805acf090d5ebfc781ca727b93632",
-    7: "90c4a031991ab10f8346e34b9796983457cbf0aa9aa8ab59e9b39fed1aa75dea",
+    42: "9de5148400b9f50481cf5df2cc5b3666a1b901d2d9c45832efeba91e0d81f574",
+    0: "812ac0a3c09243c523f73eadbdc120ec6c7efca74e92730885330a588b429d24",
+    7: "8c5ca188dab58f96c63dddd7b313b78b10a0b0cf65c31c180bfb1b246615bc51",
 }
 
 

@@ -614,6 +614,22 @@ def test_floats_match_repr_at_decimal_ties_in_the_exponent_range():
     assert_rows_match(np.concatenate([values, -values]))
 
 
+def test_floats_match_repr_at_exact_16_digit_ties_without_repr():
+    # exact 17-digit decimals ending in 5: about a fifth of these draws from
+    # [1e15, 1e16) and 0.8% of those from [1e-4, 1e15); repr keeps 17 digits
+    # where neither 16-digit neighbour reads back and rounds half to even
+    # where both do, as for k + j/2^16 in [8, 10)
+    rng = np.random.default_rng(0)
+    wide = 10.0 ** rng.uniform(15.0, 16.0, 200_000)
+    low = 10.0 ** rng.uniform(-4.0, 15.0, 10**6)
+    dyadic = (np.arange(8.0, 10.0)[:, None] + (2 * np.arange(2000) + 1) / 2.0**16).ravel()
+    for values in (wide, low, dyadic):
+        digits, _, slow = mio._shortest_digits(values)
+        assert not slow.any(), values[slow][:5]
+        assert_rows_match(values)
+    assert np.all(digits % 20 == 0)  # 16 digits, the last one even
+
+
 def test_floats_of_the_recipes_never_go_through_repr():
     # exact zeros, tiny t and the h = 0 rays' noise print in the scientific
     # layout too; none of them is subnormal or a near tie

@@ -261,9 +261,93 @@ def test_puncture_errors_name_the_point_and_guard():
     assert "n=3" in str(err.value) and repr(complex(z[1])) in str(err.value)
     with pytest.raises(ws.PunctureError) as err:
         ws.f_polar(data, np.array([0.5, 1.0]), np.array([0.0, 2 * math.pi / 3]))
-    assert (err.value.n, err.value.guard) == (3, ws.POLAR_GUARD)
+    assert (err.value.n, err.value.guard) == (3, ws.PUNCTURE_GUARD)
     assert abs(err.value.z - data.punctures[1]) < 1e-15
     assert repr(err.value.z) in str(err.value)
+
+
+def test_arrays_give_the_bits_of_scalar_calls():
+    rng = np.random.default_rng(206)
+    for n in range(2, 18):
+        data = ws.JorgeMeeksData(n)
+        r = rng.uniform(0.05, 3.0, 40)
+        t = rng.uniform(0.0, 2 * math.pi, 40)
+        keep = np.abs((r * np.exp(1j * t)) ** n - 1.0) > 1e-3
+        r, t = r[keep].reshape(-1, 1), t[keep].reshape(-1, 1)
+        z = r * np.exp(1j * t)
+        lift = ws.lift_closed_form(data, z)
+        polar = ws.f_polar(data, r, t)
+        assert lift.X0.shape == z.shape and polar.shape == z.shape + (3,)
+        for k in range(len(z)):
+            single = ws.lift_closed_form(data, complex(z[k, 0]))
+            assert [complex(X[k, 0]) for X in lift] == list(single), (n, k)
+            assert polar[k, 0].tolist() == list(ws.f_polar(data, float(r[k, 0]), float(t[k, 0]))), (n, k)
+
+
+def test_polar_matches_mpmath_around_the_punctures_on_the_fold():
+    # within 1e-6..1e-2 of a puncture, on and around |z| = 1, where the
+    # surface changes type; relative to the largest component
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+
+    def exact(n, r, t):
+        z = mp.mpf(r) * mp.expj(mp.mpf(t))
+        zn = z ** n - 1
+        c = mp.mpf(n - 1) / n ** 2
+        logs = [mp.log(z - mp.expj(2 * mp.pi * j / n)) for j in range(n)]
+        x1 = mp.im(z * (z ** (n - 2) + 1) / (n * zn)) + c * sum(
+            2 * mp.sin(2 * mp.pi * j / n) * mp.re(L) for j, L in enumerate(logs))
+        x2 = mp.re(-z * (z ** (n - 2) - 1) / (n * zn)) + c * sum(
+            2 * mp.cos(2 * mp.pi * j / n) * mp.re(L) for j, L in enumerate(logs))
+        return np.array([float(mp.re(2j / (n * zn))), float(x1), float(x2)])
+
+    offsets = [1e-6, -3e-5, 1e-4, -1e-3, 1e-2]
+    for n in (2, 3, 5, 8):
+        data = ws.JorgeMeeksData(n)
+        worst = 0.0
+        for dr in [0.0] + offsets + [-d for d in offsets]:
+            for dt in offsets + [-d for d in offsets]:
+                for j in (0, n - 1):
+                    r, t = 1.0 + dr, 2 * math.pi * j / n + dt
+                    want = exact(n, r, t)
+                    got = np.array(ws.f_polar(data, r, t))
+                    worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert worst < 1e-9, (n, worst)
+
+
+def test_alpha_rejects_non_finite_points():
+    data = ws.JorgeMeeksData(3)
+    for z in (math.nan, complex(0.2, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            ws.alpha(data, z)
+    with pytest.raises(ValueError, match=r"z = \(nan\+0j\) is not finite"):
+        ws.alpha(data, np.array([0.5, math.nan, 0.3]))
+
+
+def test_lift_rejects_non_finite_points():
+    data = ws.JorgeMeeksData(3)
+    for z in (math.nan, complex(math.inf), np.array([0.1j, complex(-math.inf, 0.0)])):
+        with pytest.raises(ValueError, match="not finite"):
+            ws.lift_closed_form(data, z)
+
+
+def test_polar_rejects_non_finite_points():
+    data = ws.JorgeMeeksData(3)
+    for r, t in ((math.inf, 0.3), (0.5, math.inf), (math.nan, 0.3), (np.array([0.5, 0.5]), np.array([0.3, -math.inf]))):
+        with pytest.raises(ValueError, match="not finite"):
+            ws.f_polar(data, r, t)
+
+
+def test_quadrature_rejects_non_finite_points_before_the_path():
+    data = ws.JorgeMeeksData(3)
+    for z in (math.nan, np.array([0.5, complex(math.inf, 0.0)])):
+        # the end itself is named, not a quadrature node on its segment
+        with pytest.raises(ValueError, match=r"^z = \((nan|inf)\+0j\) is not finite$") as err:
+            ws.integrate_lift_numeric(data, z)
+        assert not isinstance(err.value, ws.PathError)
+    # a finite end near a puncture is still the path's to reject
+    with pytest.raises(ws.PathError):
+        ws.integrate_lift_numeric(data, data.punctures[1] * (1 - 1e-13))
 
 
 def test_polar_scalar_returns_named_tuple():
@@ -313,6 +397,16 @@ def test_lorentz_inner_signature():
     assert ws.lorentz_inner((0, 1, 0), (0, 1, 0)) == 1.0
     assert ws.lorentz_inner((0, 0, 1), (0, 0, 1)) == 1.0
     assert ws.lorentz_inner((1, 1, 0), (1, 1, 0)) == 0.0
+
+
+def test_lorentz_inner_contracts_complex_vectors():
+    # the null form of alpha, unconjugated: zero, where the conjugated form
+    # -|a0|^2 + |a1|^2 + |a2|^2 is not
+    a = ws.alpha(ws.JorgeMeeksData(4), np.array([0.3 + 0.2j, -0.5j, 1.7 + 0.4j]))
+    form = ws.lorentz_inner(a.T, a.T)
+    assert np.iscomplexobj(form)
+    assert np.all(np.abs(form) < 1e-12 * (np.abs(a) ** 2).sum(axis=0))
+    assert np.array_equal(form, -a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
 def test_lorentz_cross_orthogonality():
