@@ -625,10 +625,9 @@ def mean_curvature_residual(n: int, u, theta, step: float = 1e-3):
     """
     ua, ta, _ = domain_factors(n, u, theta)
     s = float(step)
-    stencil = {}
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            stencil[i, j] = eval_extended_grid(n, ua + i * s, ta + j * s)
+    offsets = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    stencil = dict(zip(offsets, eval_extended_grid(
+        n, np.stack([ua + i * s for i, _ in offsets]), np.stack([ta + j * s for _, j in offsets]))))
     fu = (stencil[1, 0] - stencil[-1, 0]) / (2.0 * s)
     ft = (stencil[0, 1] - stencil[0, -1]) / (2.0 * s)
     fuu = (stencil[1, 0] - 2.0 * stencil[0, 0] + stencil[-1, 0]) / s ** 2

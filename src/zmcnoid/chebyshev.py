@@ -58,9 +58,9 @@ def _recurrence(n: int, x, first: float):
     """
     _check_degree(n)
     xa = np.asarray(x, dtype=float)
-    prev, cur = np.ones_like(xa), first * xa
+    prev, cur, twice = np.ones_like(xa), first * xa, 2.0 * xa
     for _ in range(n - 1):
-        prev, cur = cur, 2.0 * xa * cur - prev
+        prev, cur = cur, twice * cur - prev
     out = cur if n else prev
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
@@ -141,7 +141,7 @@ def factor_product(factors):
     """
     out = np.full(factors.shape[1:], 2.0 ** (len(factors) - 1))
     for f in factors:
-        out = out * f
+        out *= f
     return out
 
 

@@ -153,6 +153,16 @@ def x2_log_gap(n: int, log_gap, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def _height(n: int, u, theta, out=None):
+    # x0 = sin(n theta) / D (into out if given) and the guarded u, theta, log factors
+    # and D it came from: the one path to x0, for eval_extended_grid and x0 alone
+    check_order(n, 2)
+    _check_degree(n - 1)  # T_{n-1}, before 2^(n-1) of the n factors overflows
+    ua, ta, factors = _guarded_factors(n, u, theta, LOG_FACTOR_GUARD)
+    D = n * factor_product(factors)
+    return np.divide(np.sin(n * ta), D, out=out), ua, ta, factors, D
+
+
 def eval_extended_grid(n: int, u, theta):
     """Vectorized extended surface on arrays of finite domain points.
 
@@ -160,23 +170,23 @@ def eval_extended_grid(n: int, u, theta):
     (t, x, y) order.  Raises OutOfDomainError / BoundaryProximityError if any
     point violates the domain or the log-factor guard.  Terms in theta alone
     are computed at theta's own shape, so a (1, ntheta) row pays once per column.
+    A point gets the same bits alone or in any contiguous stack of points.
     """
     check_order(n, 2)
-    _check_degree(n - 1)  # T_{n-1}, before 2^(n-1) of the n factors overflows
-    ua, ta, factors = _guarded_factors(n, u, theta, LOG_FACTOR_GUARD)
-    D = n * factor_product(factors)
-    c = (n - 1) / n ** 2
+    out = np.empty(np.broadcast_shapes(np.shape(u), np.shape(theta)) + (3,))
+    _, ua, ta, factors, D = _height(n, u, theta, out[..., 0])
     tn1 = eval_T(n - 1, ua)
-
-    x0 = np.sin(n * ta) / D
     x1 = -(tn1 * np.sin(ta) + ua * np.sin((n - 1) * ta)) / D
     x2 = (-tn1 * np.cos(ta) + ua * np.cos((n - 1) * ta)) / D
     logs = np.log(factors, out=factors)  # the factors are not needed again
+    logs *= (n - 1) / n ** 2
+    term = np.empty_like(x1)
     for j in range(1, n):
-        x1 = x1 + c * logs[j] * math.sin(2.0 * math.pi * j / n)
+        x1 += np.multiply(logs[j], math.sin(2.0 * math.pi * j / n), out=term)
     for j in range(n):
-        x2 = x2 + c * logs[j] * math.cos(2.0 * math.pi * j / n)
-    return np.stack([x0, x1, x2], axis=-1)
+        x2 += np.multiply(logs[j], math.cos(2.0 * math.pi * j / n), out=term)
+    out[..., 1], out[..., 2] = x1, x2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +196,16 @@ def eval_extended_grid(n: int, u, theta):
 def first_partials_grid(n: int, u, theta, fd_step=None):
     """Central-difference partials (f_u, f_theta) on arrays, shape (..., 3) each.
 
-    The step defaults to DEFAULT_FD_SCALE * max(1, |u|) per point.  Stencil
-    points must stay inside Omega_n.
+    u, theta and fd_step broadcast together: a stack of steps gives a stack of
+    partials, each with the bits of its own call.  The step defaults to
+    DEFAULT_FD_SCALE * max(1, |u|) per point.  Stencil points must stay in Omega_n.
     """
-    ua, ta = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
-    )
-    s = (
-        DEFAULT_FD_SCALE * np.maximum(1.0, np.abs(ua))
-        if fd_step is None
-        else np.broadcast_to(np.asarray(fd_step, dtype=float), ua.shape)
-    )
-    fu = (eval_extended_grid(n, ua + s, ta) - eval_extended_grid(n, ua - s, ta)) / (2.0 * s)[..., None]
-    ft = (eval_extended_grid(n, ua, ta + s) - eval_extended_grid(n, ua, ta - s)) / (2.0 * s)[..., None]
-    return fu, ft
+    ua, ta = (np.asarray(x, dtype=float) for x in (u, theta))
+    s = DEFAULT_FD_SCALE * np.maximum(1.0, np.abs(ua)) if fd_step is None else fd_step
+    ua, ta, s = np.broadcast_arrays(ua, ta, np.asarray(s, dtype=float))
+    f = eval_extended_grid(n, np.stack([ua + s, ua - s, ua, ua]),
+                           np.stack([ta, ta, ta + s, ta - s]))
+    return (f[0] - f[1]) / (2.0 * s)[..., None], (f[2] - f[3]) / (2.0 * s)[..., None]
 
 
 def first_fundamental_grid(n: int, u, theta, fd_step=None):

@@ -29,6 +29,7 @@ from .analysis import (
 )
 from .chebyshev import eval_T, eval_U, invert_T, psi
 from .extension import (
+    _height,
     eval_extended_grid,
     first_partials_grid,
     fold_to_fundamental,
@@ -237,11 +238,11 @@ def _check_polar_symmetries(rng, n):
     data = JorgeMeeksData(n)
     z = _sample_z(rng, n, 1000)
     r, theta = np.abs(z), np.angle(z)
-    base = f_polar(data, r, theta)
-    s_err = np.max(np.abs(f_polar(data, r, -theta) - base @ reflection_matrix().T))
-    r_err = np.max(
-        np.abs(f_polar(data, r, theta + 2.0 * math.pi / n) - base @ rotation_matrix(n).T)
+    base, flipped, turned = f_polar(
+        data, np.stack([r, r, r]), np.stack([theta, -theta, theta + 2.0 * math.pi / n])
     )
+    s_err = np.max(np.abs(flipped - base @ reflection_matrix().T))
+    r_err = np.max(np.abs(turned - base @ rotation_matrix(n).T))
     return {"samples": 1000}, max(s_err, r_err)
 
 
@@ -249,9 +250,8 @@ def _check_fold_symmetry(rng, n):
     data = JorgeMeeksData(n)
     z = _sample_z(rng, n, 1000)
     r, theta = np.abs(z), np.angle(z)
-    return {"samples": 1000}, np.max(
-        np.abs(f_polar(data, r, theta) - f_polar(data, 1.0 / r, theta))
-    )
+    outer, inner = f_polar(data, np.stack([r, 1.0 / r]), np.stack([theta, theta]))
+    return {"samples": 1000}, np.max(np.abs(outer - inner))
 
 
 def _check_period_condition(rng, n):
@@ -270,8 +270,9 @@ def _check_group_decomposition(rng, n):
     folded, mats = fold_to_fundamental(n, theta)
     worst = math.inf
     if np.all((folded >= 0.0) & (folded <= math.pi / n + 1e-12)):
-        rebuilt = (mats @ eval_extended_grid(n, u, folded)[..., None])[..., 0]
-        worst = float(np.max(np.abs(eval_extended_grid(n, u, theta) - rebuilt)))
+        wedge, direct = eval_extended_grid(n, np.stack([u, u]), np.stack([folded, theta]))
+        rebuilt = (mats @ wedge[..., None])[..., 0]
+        worst = float(np.max(np.abs(direct - rebuilt)))
     return {"samples": 1000}, worst
 
 
@@ -281,12 +282,12 @@ def _check_infinity_decay(rng, n):
          rng.uniform(0.0, 2.0 * math.pi, 256)]
     )
     scale = 1.25  # headroom over the u = 100 fit for the slowly varying tail
-    fitted = scale * float(
-        np.max(np.linalg.norm(eval_extended_grid(n, np.full_like(theta, 100.0), theta), axis=-1)) * 100.0
-    )
+    us = (100.0, 1e3, 1e4)
+    pts = eval_extended_grid(n, np.stack([np.full_like(theta, u) for u in us]), theta)
+    fitted = scale * float(np.max(np.linalg.norm(pts[0], axis=-1)) * 100.0)
     worst = 0.0
-    for u in (1e3, 1e4):
-        norms = np.linalg.norm(eval_extended_grid(n, np.full_like(theta, u), theta), axis=-1)
+    for u, p in zip(us[1:], pts[1:]):
+        norms = np.linalg.norm(p, axis=-1)
         worst = max(worst, float(np.max(norms) * u / fitted))
     return {"fit_u": 100.0, "C": fitted}, worst
 
@@ -323,8 +324,7 @@ def _check_derivative_agreement(rng, n):
     # Richardson-combined central differences at s and 2s: truncation is
     # O((n s/gap)^4), so s = 1e-3 gap keeps rounding noise off the minors
     s = 1e-3 * gap
-    du, dth = first_partials_grid(n, u, theta, s)
-    du2, dth2 = first_partials_grid(n, u, theta, 2.0 * s)
+    (du, du2), (dth, dth2) = first_partials_grid(n, u, theta, np.stack([s, 2.0 * s]))
     du, dth = (4.0 * du - du2) / 3.0, (4.0 * dth - dth2) / 3.0
     f_u, j01, j02 = surface_partials(n, u, theta)
     worst = float(np.max(np.abs(f_u - du) / np.maximum(1.0, np.abs(f_u))))
@@ -351,14 +351,16 @@ def _check_jacobian_sum_identity(rng, n):
 
 def _check_contour_roundtrip(rng, n):
     wedge = math.pi / n
+    heights = (0.01, 0.1, 1.0, 10.0)
+    # representation floor of the tip factor u - cos theta is about
+    # eps * n^2 h^2 / theta, so large heights get a raised grid start
+    thetas = [np.linspace(min(0.5, max(1e-3, 2.2e-5 * n * n * h * h / wedge)) * wedge,
+                          (1.0 - 1e-3) * wedge, 200) for h in heights]
+    x0 = _height(n, np.stack([contour_u(n, h, t) for h, t in zip(heights, thetas)]),
+                 np.stack(thetas))[0]
     worst = 0.0
-    for h in (0.01, 0.1, 1.0, 10.0):
-        # representation floor of the tip factor u - cos theta is about
-        # eps * n^2 h^2 / theta, so large heights get a raised grid start
-        frac = min(0.5, max(1e-3, 2.2e-5 * n * n * h * h / wedge))
-        theta = np.linspace(frac * wedge, (1.0 - 1e-3) * wedge, 200)
-        pts = eval_extended_grid(n, contour_u(n, h, theta), theta)
-        worst = max(worst, float(np.max(np.abs(pts[:, 0] - h))))
+    for h, row in zip(heights, x0):
+        worst = max(worst, float(np.max(np.abs(row - h))))
     return {"theta_grid": 200, "heights": [0.01, 0.1, 1.0, 10.0]}, worst
 
 
@@ -366,19 +368,19 @@ def _check_height_nonnegative(rng, n):
     theta = rng.uniform(0.0, math.pi / n, 10_000)
     gap = 10.0 ** rng.uniform(-6.0, math.log10(3.0), 10_000)
     u = np.cos(theta) + gap
-    worst = float(np.min(eval_extended_grid(n, u, theta)[:, 0]))
+    worst = float(np.min(_height(n, u, theta)[0]))
     return {"samples": 10_000}, worst, worst >= -1e-12
 
 
 def _check_level_curve_mirror(rng, n):
     wedge = math.pi / n
     theta = np.linspace(1e-3 * wedge, (1.0 - 1e-3) * wedge, 200)
+    u = [contour_u(n, h, theta) for h in (0.01, 1.0)]
+    pts = eval_extended_grid(n, np.stack([u[0], u[0], u[1], u[1]]),
+                             np.stack([theta, 2.0 * math.pi - theta] * 2))
     worst = 0.0
-    for h in (0.01, 1.0):
-        u = contour_u(n, h, theta)
-        mirrored = eval_extended_grid(n, u, theta) @ reflection_matrix().T
-        direct = eval_extended_grid(n, u, 2.0 * math.pi - theta)
-        worst = max(worst, float(np.max(np.abs(mirrored - direct))))
+    for upper, lower in zip(pts[::2], pts[1::2]):
+        worst = max(worst, float(np.max(np.abs(upper @ reflection_matrix().T - lower))))
     return {"theta_grid": 200, "heights": [0.01, 1.0]}, worst
 
 

@@ -111,13 +111,19 @@ def _check_finite(z) -> np.ndarray:
     return za
 
 
-def _check_punctures(data: JorgeMeeksData, z) -> np.ndarray:
-    """z as a finite complex array with |z^n - 1| > PUNCTURE_GUARD everywhere."""
+def _check_punctures(data: JorgeMeeksData, z):
+    """(z, z^n - 1) as complex arrays; raises unless both are finite and |z^n - 1| > guard."""
     za = _check_finite(z)
-    bad = np.flatnonzero(np.abs(za ** data.n - 1.0) <= PUNCTURE_GUARD)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        zn = za ** data.n - 1.0
+        near = np.abs(zn) <= PUNCTURE_GUARD
+    bad = np.flatnonzero(~np.isfinite(zn))
+    if bad.size:
+        raise ValueError(f"n={data.n}: z = {complex(za.flat[bad[0]])!r} has z^n - 1 beyond float64")
+    bad = np.flatnonzero(near)
     if bad.size:
         raise PunctureError(data.n, complex(za.flat[bad[0]]), PUNCTURE_GUARD)
-    return za
+    return za, zn
 
 
 def alpha(data: JorgeMeeksData, z):
@@ -126,9 +132,9 @@ def alpha(data: JorgeMeeksData, z):
     Returns an array of shape (3,) + shape(z).  The triple is isotropic:
     -a0^2 + a1^2 + a2^2 = 0 identically.
     """
-    za = _check_punctures(data, z)
+    za, zn = _check_punctures(data, z)
     n = data.n
-    den = (za ** n - 1.0) ** 2
+    den = zn ** 2
     a0 = -2j * za ** (n - 1) / den
     a1 = 1j * (1.0 + za ** (2 * n - 2)) / den
     a2 = -(1.0 - za ** (2 * n - 2)) / den
@@ -143,10 +149,10 @@ def lift_closed_form(data: JorgeMeeksData, z) -> HolomorphicLift:
     of its shape; a point gets the same bits alone or in any array.  Use
     ``alpha`` + ``integrate_lift_numeric`` for independent values.
     """
-    za = _check_punctures(data, z)
+    za, zn = _check_punctures(data, z)
     n = data.n
     zc = za.reshape(-1)  # numpy's scalar complex arithmetic rounds unlike its array loops
-    zn = zc ** n - 1.0
+    zn = zn.reshape(-1)
     c = (n - 1) / n ** 2
     ang = 2.0 * math.pi * np.arange(n) / n
     # log(z - p) as (log|d|, arg d) float pairs, in a third of the time of

@@ -167,6 +167,51 @@ def test_points_on_the_edge_are_out_of_the_domain():
         assert (err.value.u, err.value.theta, err.value.guard) == (1.0, 0.0, 0.0)
 
 
+def test_stacked_points_keep_the_bits_of_their_own_call():
+    # the verify checks join the points of several evaluations into one
+    # contiguous stack; every row must keep the bits it has alone
+    rng = np.random.default_rng(2901)
+    for n in range(2, 18):
+        theta = rng.uniform(0.0, 2.0 * math.pi, (3, 64))
+        u = ext.omega_lower_bound(n, theta) + 10.0 ** rng.uniform(-6.0, 3.0, (3, 64))
+        stack = ext.eval_extended_grid(n, u, theta)
+        for k in range(3):
+            assert stack[k].tobytes() == ext.eval_extended_grid(n, u[k], theta[k]).tobytes(), (n, k)
+        # a stack of u against one shared theta row
+        rows = u[0] + np.array([[0.0], [1.0], [5.0]])
+        shared = ext.eval_extended_grid(n, rows, theta[0])
+        for k in range(3):
+            assert shared[k].tobytes() == ext.eval_extended_grid(n, rows[k], theta[0]).tobytes()
+
+
+def test_a_stacked_step_gives_the_partials_of_separate_calls():
+    rng = np.random.default_rng(2902)
+    for n in (2, 3, 5, 8, 17):
+        u, theta = sample_omega(rng, n, 200, gap_lo=1e-2)
+        s = 1e-3 * (u - ext.omega_lower_bound(n, theta))
+        (fu, fu2), (ft, ft2) = ext.first_partials_grid(n, u, theta, np.stack([s, 2.0 * s]))
+        for got, step in (((fu, ft), s), ((fu2, ft2), 2.0 * s)):
+            want = ext.first_partials_grid(n, u, theta, step)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], n
+
+
+def test_height_alone_has_the_bits_and_errors_of_the_evaluator():
+    rng = np.random.default_rng(2903)
+    for n in (2, 3, 7, 17):
+        u, theta = sample_omega(rng, n, 100, gap_lo=1e-6)
+        rows = u + np.array([[0.0], [0.5], [2.0]])
+        for args in ((u, theta), (rows, theta), (float(u[0]), float(theta[0]))):
+            x0 = np.asarray(ext._height(n, *args)[0])
+            assert x0.tobytes() == ext.eval_extended_grid(n, *args)[..., 0].tobytes(), n
+    for args in ((3, np.array([2.0, 0.4]), np.array([0.0, 0.1])), (2, 1.0 + 5e-15, 0.0)):
+        errors = []
+        for evaluate in (ext._height, ext.eval_extended_grid):
+            with pytest.raises(ext.DomainGuardError) as err:
+                evaluate(*args)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] and errors[0][0] is not ext.DomainGuardError
+
+
 def test_psi_factored_matches_direct_difference():
     rng = np.random.default_rng(302)
     for n in (2, 3, 5, 8):

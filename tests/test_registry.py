@@ -1,11 +1,12 @@
 """Check registry, seeding determinism, override policing, report JSON."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zmcnoid import verify
+from zmcnoid import analysis, extension, verify
 from zmcnoid.verify import CheckRecord, VerificationReport, emit_report, report_json
 
 EXPECTED_IDS = (
@@ -145,6 +146,29 @@ def test_perturbed_kernel_fails_every_derivative_record(monkeypatch, target):
     assert passed[ids[0]] == [False] * 7
     # the sum identity reads only the minors
     assert passed[ids[1]] == [target.startswith("f_u")] * 7
+
+
+def test_each_check_evaluates_the_surface_once_per_order(monkeypatch):
+    # the checks stack the points they hold into one evaluator call; count
+    # the calls of every check and order wherever the evaluator is imported
+    calls, current = {}, [None]
+    evaluate = extension.eval_extended_grid
+
+    def counted(*args, **kwargs):
+        calls[current[0]] = calls.get(current[0], 0) + 1
+        return evaluate(*args, **kwargs)
+
+    def tagged(check):
+        def runner(rng, n):
+            current[0] = (check.id, n)
+            return check.runner(rng, n)
+        return replace(check, runner=runner)
+
+    for module in (extension, analysis, verify):
+        monkeypatch.setattr(module, "eval_extended_grid", counted)
+    monkeypatch.setattr(verify, "REGISTRY", tuple(tagged(c) for c in verify.REGISTRY))
+    assert verify.run_checks(seed=42).passed
+    assert calls and max(calls.values()) == 1, calls
 
 
 def test_ns_restriction():

@@ -1,6 +1,7 @@
 """Closed-form lift and polar surface against the quadrature oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,23 @@ def test_polar_rejects_non_finite_points():
     for r, t in ((math.inf, 0.3), (0.5, math.inf), (math.nan, 0.3), (np.array([0.5, 0.5]), np.array([0.3, -math.inf]))):
         with pytest.raises(ValueError, match="not finite"):
             ws.f_polar(data, r, t)
+
+
+def test_overflowing_powers_are_rejected_before_any_warning():
+    # the rational parts need z^n - 1; where that leaves float64 the point is
+    # named instead of returning NaN fields after RuntimeWarnings
+    data = ws.JorgeMeeksData(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^n=3: z = \(.+\) has z\^n - 1 beyond float64$"):
+            ws.f_polar(data, 1e200, 0.3)
+        with pytest.raises(ValueError, match=r"^n=3: z = \(1e\+120\+0j\) has z\^n - 1 beyond"):
+            ws.lift_closed_form(data, 1e120)
+        with pytest.raises(ValueError, match=r"z = \(1e\+120\+0j\)"):
+            ws.alpha(data, np.array([0.5, 1e120]))
+        # still finite here, with unchanged bits
+        assert ws.f_polar(data, 1e60, 0.3) == ws.LorentzVec3(
+            5.222179397516555e-181, 2.842170943040401e-14, -1.4210854715202004e-14)
 
 
 def test_quadrature_rejects_non_finite_points_before_the_path():
