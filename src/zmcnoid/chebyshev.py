@@ -142,7 +142,7 @@ def factor_product(factors):
     out = np.full(factors.shape[1:], 2.0 ** (len(factors) - 1))
     for f in factors:
         out *= f
-    return out
+    return out[()]  # a numpy scalar, not a 0-d array, for scalar (u, theta)
 
 
 def psi(n: int, u, theta):

@@ -361,7 +361,7 @@ def _check_contour_roundtrip(rng, n):
     worst = 0.0
     for h, row in zip(heights, x0):
         worst = max(worst, float(np.max(np.abs(row - h))))
-    return {"theta_grid": 200, "heights": [0.01, 0.1, 1.0, 10.0]}, worst
+    return {"theta_grid": 200, "heights": list(heights)}, worst
 
 
 def _check_height_nonnegative(rng, n):

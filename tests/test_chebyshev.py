@@ -240,6 +240,7 @@ def test_scalar_in_scalar_out():
     assert isinstance(cb.eval_T(5, 0.3), float)
     assert isinstance(cb.eval_U(5, 0.3), float)
     assert isinstance(cb.invert_T(4, 2.0), float)
+    assert isinstance(cb.psi(4, 2.0, 0.3), float)
     assert isinstance(cb.eval_T(5, np.linspace(0, 1, 4)), np.ndarray)
 
 
