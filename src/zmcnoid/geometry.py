@@ -5,10 +5,13 @@ embeddedness machinery reduces to 2D segment geometry.  Every scan is one
 walk down two box forests: each polyline gets a 4-ary tree of bounding boxes
 over its segments, and the walk keeps, one level at a time, the box pairs
 whose gap is within its bound (the tolerance, or the best distance found so
-far).  The segment pairs that survive to the leaves get one exact distance
-test; segments closer than a world tolerance intersect.  The kernels take
-x and y, and a box's four children, as separate arrays: numpy reduces over
-an axis of length 2 to 4 far slower than it runs the same ufuncs elementwise.
+far, probed from box vertices above the leaves).  The segment pairs that
+survive to the leaves get one exact distance test; segments closer than a
+world tolerance intersect.  A self scan of a polyline whose x steps one way,
+each step wider than the walk's leaf bound, needs no walk: every nonzero
+level arc of the surface is such a graph over x.  The kernels take x and y,
+and a box's four children, as separate arrays: numpy reduces over an axis
+of length 2 to 4 far slower than it runs the same ufuncs elementwise.
 """
 
 from __future__ import annotations
@@ -112,6 +115,15 @@ def _forest(stack, key, depth):
     return levels
 
 
+def _slack(*points):
+    """A few ulps of the coordinate scale of (M, 2) point arrays.
+
+    Box gaps and segment distances round differently; this much slack on the
+    bound keeps every pair whose computed distance is within it.
+    """
+    return 32 * np.finfo(float).eps * max(max(p.max(), -p.min()) for p in points)
+
+
 def _walk(a, b, tol, nearest, key=0.0, skip=-1):
     """Segment pairs of two polyline stacks that no box gap rules out.
 
@@ -121,9 +133,11 @@ def _walk(a, b, tol, nearest, key=0.0, skip=-1):
     polyline) root pairs down, each level keeps the admissible box pairs
     whose gap is within the bound and expands them into their 16 children.
     The bound is tol.  With nearest it is max(tol, best), where best is
-    tightened at every level from the distances of the first segments (at a
-    leaf, the segment itself) of the nearest 16 admissible box pairs; that
-    needs a key constant on each polyline, so those pairs are admissible too.
+    tightened at every level from the nearest 16 admissible box pairs: above
+    the leaves from the distance between the first vertices of their boxes,
+    which bounds the minimum from above at a fraction of a segment distance's
+    cost, and at the leaves from the segment distances.  That needs a key
+    constant on each polyline, so those pairs are admissible too.
 
     Returns the leaf indices (I, J) of the surviving segment pairs and their
     distances d: every pair closer than tol is among them, and with nearest
@@ -135,14 +149,14 @@ def _walk(a, b, tol, nearest, key=0.0, skip=-1):
     fa = _forest(a, key, depth)
     fb = fa if same else _forest(b, key, depth)
     pa, pb = a.reshape(-1, 2), b.reshape(-1, 2)
-    # box gaps and segment distances round differently; a few ulps of the
-    # coordinate scale keep every pair whose computed distance is in bound
-    slack = 32 * np.finfo(float).eps * max(pa.max(), -pa.min(), pb.max(), -pb.min())
+    slack = _slack(pa, pb)
 
     def distances(I, J, level):
         # box i of polyline p starts with segment i * 4**level of that polyline
         (p, i), (q, j) = np.divmod(I, fa[level][2]), np.divmod(J, fb[level][2])
         ia, jb = p * a.shape[1] + i * 4 ** level, q * b.shape[1] + j * 4 ** level
+        if level:
+            return np.hypot(pa[ia, 0] - pb[jb, 0], pa[ia, 1] - pb[jb, 1])
         return segment_pair_distance(pa[ia], pa[ia + 1], pb[jb], pb[jb + 1])
 
     def children(index, forest, level):
@@ -184,11 +198,22 @@ def polyline_self_intersections(points, tol=DEFAULT_TOLERANCE):
     """Segment index pairs of a polyline closer than tol, skipping neighbors.
 
     Returns a list of (i, j, distance) with i < j - 1; an empty list
-    certifies the sampled polyline is simple at the given tolerance.
+    certifies the sampled polyline is simple at the given tolerance.  A
+    polyline whose x is strictly monotone, with every segment but the first
+    and last spanning more than the walk's leaf bound in x, returns [] without
+    a walk: the x gap of two non-adjacent segments is at least the span of a
+    segment between them, so the walk would rule every pair out at the leaves.
     """
     tol = check_tolerance(tol)
-    pts = _polylines(points, 2)[None]
-    return _hits(*_walk(pts, None, tol, False, key=np.arange(pts.shape[1] - 1), skip=1), tol)
+    pts = _polylines(points, 2)
+    step = np.diff(pts[:, 0])
+    # a few ulps above the leaf test gap <= tol + slack; below 1e-154 a gap's
+    # square is subnormal, and the walk's rounding is no longer relative
+    bound = (tol + _slack(pts)) * (1.0 + 4.0 * np.finfo(float).eps)
+    if ((step > 0.0).all() or (step < 0.0).all()) and bound * bound >= np.finfo(float).tiny:
+        if np.abs(step[1:-1]).min(initial=math.inf) > bound:
+            return []
+    return _hits(*_walk(pts[None], None, tol, False, key=np.arange(len(pts) - 1), skip=1), tol)
 
 
 def polyline_pair_intersections(points_a, points_b, tol=DEFAULT_TOLERANCE):

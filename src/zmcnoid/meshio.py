@@ -37,6 +37,12 @@ _WRITE_BLOCK = 1 << 14
 # native (t, x, y) -> display (x, y, t)
 _DISPLAY_ORDER = (1, 2, 0)
 
+# tessellate's peak traced allocation per grid vertex: 28.8 MB for the
+# 196,608 vertices of a 256x768 grid (tracemalloc, n = 3 and 17, 2 CPUs);
+# the row chunks keep the pool's temporaries near a quarter of the grid at
+# any thread count
+_PEAK_BYTES_PER_VERTEX = 147
+
 
 def thread_cap() -> int:
     """Worker limit for row-parallel tessellation: the CPUs this process may use.
@@ -76,6 +82,15 @@ class SurfaceMesh:
 def _norm(v):
     # the length of v over its leading axis, rounded as np.linalg.norm rounds
     return np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report them."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
 
 
 def _row_chunks(rows: int) -> list[slice]:
@@ -136,7 +151,8 @@ def tessellate(
     one theta row, so terms in theta alone cost once per column and chunk, and
     it splits their quads toward the shorter display-space diagonal.  Vertices
     are tagged by the sign of u - 1: space-like for u > 1, time-like for u < 1
-    and lightlike on the fold u = 1.
+    and lightlike on the fold u = 1.  A grid whose arrays would need more
+    than the physical memory is rejected before any is allocated.
     """
     nu, ntheta = grid
     if not (math.isfinite(eps) and eps > 0.0):
@@ -145,6 +161,12 @@ def tessellate(
         raise ValueError(f"u_max must be finite and exceed 1 + eps, got {u_max}")
     if nu < 8 or ntheta < 8:
         raise ValueError(f"grid must be at least 8x8, got {nu}x{ntheta}")
+    # numpy commits pages as they are written, so an oversized grid would
+    # not raise MemoryError: the kernel would kill the process part way
+    need, have = nu * ntheta * _PEAK_BYTES_PER_VERTEX, _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(f"a {nu}x{ntheta} grid does not fit in memory: it needs about "
+                         f"{need / 2**30:.3g} GiB, of {have / 2**30:.3g} GiB physical")
 
     thetas = 2.0 * math.pi * np.arange(ntheta) / ntheta
     lo = omega_lower_bound(n, thetas) + eps

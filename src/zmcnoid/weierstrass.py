@@ -134,10 +134,15 @@ def alpha(data: JorgeMeeksData, z):
     """
     za, zn = _check_punctures(data, z)
     n = data.n
-    den = zn ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        w, den = za ** (2 * n - 2), zn ** 2
+    bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(den)))
+    if bad.size:
+        raise ValueError(f"n={n}: z = {complex(za.flat[bad[0]])!r} "
+                         "has z^(2n-2) or (z^n - 1)^2 beyond float64")
     a0 = -2j * za ** (n - 1) / den
-    a1 = 1j * (1.0 + za ** (2 * n - 2)) / den
-    a2 = -(1.0 - za ** (2 * n - 2)) / den
+    a1 = 1j * (1.0 + w) / den
+    a2 = -(1.0 - w) / den
     return np.stack([a0, a1, a2])
 
 

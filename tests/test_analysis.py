@@ -806,6 +806,27 @@ def test_embed_slice_records_are_pinned(n, h):
     assert hashlib.sha256(dump.encode()).hexdigest() == EMBED_RECORD_DIGESTS[n, h]
 
 
+def test_embed_slices_skip_the_self_walk(monkeypatch):
+    # every nonzero arc of the embed slices is x-monotone with steps far above
+    # tol, so its self scan needs no walk; the (5, 1e4) arc, whose sample 0
+    # is rounded off the slice (x runs back there), walks and meets its hit
+    self_walks = []
+    walk = geo._walk
+
+    def spy(a, b, tol, nearest, **kw):
+        if b is None and not nearest:
+            self_walks.append(a.shape)
+        return walk(a, b, tol, nearest, **kw)
+
+    monkeypatch.setattr(geo, "_walk", spy)
+    for n, h in EMBED_RECORD_DIGESTS:
+        assert an.embeddedness_scan(n, [h]).passed
+    assert self_walks == []
+    record, = an.embeddedness_scan(5, [1e4]).records
+    assert self_walks == [(1, 2048, 2)]
+    assert record.self_intersections == 1 and not record.passed
+
+
 # ---------------------------------------------------------------------------
 # properness probes
 # ---------------------------------------------------------------------------

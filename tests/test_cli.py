@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from zmcnoid import cli, verify
+from zmcnoid import cli, meshio, verify
 from zmcnoid.meshio import read_obj, read_ply
 
 
@@ -155,6 +155,21 @@ def test_mesh_reports_a_grid_that_does_not_fit(tmp_path, capsys, monkeypatch, st
     assert "Traceback" not in err
     assert err.rstrip("\n").splitlines()[-1] == (
         f"zmcnoid: error: mesh: a {grid} grid does not fit in memory")
+    assert not out.exists()
+
+
+def test_mesh_rejects_a_grid_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # a small grid against a patched 1 MiB of memory stands in for a grid
+    # too large for the machine, which would get the process killed
+    monkeypatch.setattr(meshio, "_physical_memory", lambda: 2 ** 20)
+    out = tmp_path / "x.ply"
+    argv = ["mesh", "--n", "3", "--grid", "64x192", "--out", str(out)]
+    assert run_expect_usage_error(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.rstrip("\n").splitlines()[-1] == (
+        "zmcnoid: error: mesh: a 64x192 grid does not fit in memory: "
+        "it needs about 0.00168 GiB, of 0.000977 GiB physical")
     assert not out.exists()
 
 

@@ -317,6 +317,51 @@ def test_block_pruning_equivalence():
     check_set_scans(rng.normal(size=(4, 3, 2)), (1e-9, 1e-1))
 
 
+def test_monotone_self_scans_match_the_oracle(monkeypatch):
+    # strictly x-monotone polylines, both ways: with every inner step past
+    # the leaf bound the scan skips the walk, and otherwise it walks
+    walks = []
+    walk = geo._walk
+
+    def spy(*args, **kw):
+        walks.append(args[0].shape)
+        return walk(*args, **kw)
+
+    monkeypatch.setattr(geo, "_walk", spy)
+    x = np.linspace(0.0, 1.0, 300) ** 1.5
+    graph = np.stack([x, 0.3 * np.sin(9.0 * x)], axis=1)
+    for pts in (graph, graph[::-1], -graph):
+        check_self_scan(pts, (1e-9,))
+        assert not walks
+        check_self_scan(pts, (2e-2,))
+        assert walks and geo.polyline_self_intersections(pts, 2e-2)
+        walks.clear()
+    # one inner segment shorter than tol: its neighbors are within tol of each
+    # other, so the scan must walk and report them
+    short = graph.copy()
+    short[151:] += graph[150] - graph[151] + [5e-10, 0.0]
+    assert np.all(np.diff(short[:, 0]) > 0.0)
+    check_self_scan(short, (1e-9,))
+    assert walks and geo.polyline_self_intersections(short) == [
+        (149, 151, float(all_pair_distances(short, short)[149, 151]))]
+    # unit steps along a line: the segments two apart are exactly 1 apart, so
+    # only a tolerance above 1 reports them; at 1 the leaf bound reaches the
+    # steps and the scan walks, at 0.5 it does not
+    line = np.stack([np.arange(40.0), np.zeros(40)], axis=1)
+    for pts in (line, line[::-1]):
+        walks.clear()
+        check_self_scan(pts, (0.5,))
+        assert not walks
+        check_self_scan(pts, (1.0, np.nextafter(1.0, 2.0)))
+        assert len(walks) == 2
+        assert len(geo.polyline_self_intersections(pts, np.nextafter(1.0, 2.0))) == 37
+    # below 1e-154 a gap's square underflows, and the walk and the oracle
+    # both read these 1e-170 gaps as 0: tiny polylines walk whatever their steps
+    walks.clear()
+    check_self_scan(line * 1e-170, (1e-300,))
+    assert walks and geo.polyline_self_intersections(line * 1e-170, 1e-300)
+
+
 def test_grid_aligned_pruning_at_exact_distances():
     # on the grid, box gaps equal segment distances exactly; a tolerance at
     # an observed distance excludes the pairs at that distance, and the next

@@ -80,6 +80,20 @@ def test_tessellate_validation():
         mio.tessellate(3, grid=(4, 192))
 
 
+def test_tessellate_rejects_a_grid_beyond_physical_memory(monkeypatch):
+    # numpy commits pages lazily, so the grid is sized up front; the memory
+    # figure is patched, as a real oversized grid gets the process killed
+    need = 64 * 192 * mio._PEAK_BYTES_PER_VERTEX
+    monkeypatch.setattr(mio, "_physical_memory", lambda: need)
+    assert mio.tessellate(3, grid=(64, 192)).vertex_count == 64 * 192
+    with pytest.raises(ValueError, match=r"^a 64x193 grid does not fit in memory: it needs about "
+                                         r"0\.00\d+ GiB, of 0\.00\d+ GiB physical$"):
+        mio.tessellate(3, grid=(64, 193))
+    monkeypatch.setattr(mio, "_physical_memory", lambda: None)
+    assert mio.tessellate(3, grid=(8, 8)).vertex_count == 64
+    assert mio._PEAK_BYTES_PER_VERTEX * 256 * 768 > 25 * 2 ** 20
+
+
 def test_tessellate_checks_the_degree_first():
     # the cap error comes from eval_extended_grid inside the pool, which
     # checks the degree before it forms any factor; omega_lower_bound reads

@@ -351,6 +351,15 @@ def test_overflowing_powers_are_rejected_before_any_warning():
             ws.lift_closed_form(data, 1e120)
         with pytest.raises(ValueError, match=r"z = \(1e\+120\+0j\)"):
             ws.alpha(data, np.array([0.5, 1e120]))
+        # alpha also squares z^n - 1 and raises z to 2n - 2
+        for z in (1e100, 1e60):
+            with pytest.raises(ValueError, match=r"^n=3: z = \(1e\+\d+\+0j\) has z\^\(2n-2\) or "
+                                                 r"\(z\^n - 1\)\^2 beyond float64$"):
+                ws.alpha(data, np.array([0.5, z]))
+        z = np.array([0.5 + 0.2j, 1e50])
+        den = (z ** 3 - 1.0) ** 2
+        assert np.array_equal(ws.alpha(data, z), np.stack(
+            [-2j * z ** 2 / den, 1j * (1.0 + z ** 4) / den, -(1.0 - z ** 4) / den]))
         # still finite here, with unchanged bits
         assert ws.f_polar(data, 1e60, 0.3) == ws.LorentzVec3(
             5.222179397516555e-181, 2.842170943040401e-14, -1.4210854715202004e-14)
