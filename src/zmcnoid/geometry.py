@@ -8,10 +8,11 @@ whose gap is within its bound (the tolerance, or the best distance found so
 far, probed from box vertices above the leaves).  The segment pairs that
 survive to the leaves get one exact distance test; segments closer than a
 world tolerance intersect.  A self scan of a polyline whose x steps one way,
-each step wider than the walk's leaf bound, needs no walk: every nonzero
-level arc of the surface is such a graph over x.  The kernels take x and y,
-and a box's four children, as separate arrays: numpy reduces over an axis
-of length 2 to 4 far slower than it runs the same ufuncs elementwise.
+each inner step wider than the walk's leaf bound, needs no walk: the level
+arcs of nonzero height are graphs over x, and their samples pass unless
+rounding near a tip turns x back.  The kernels take x and y, and a box's
+four children, as separate arrays: numpy reduces over an axis of length 2
+to 4 far slower than it runs the same ufuncs elementwise.
 """
 
 from __future__ import annotations

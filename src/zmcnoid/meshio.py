@@ -37,11 +37,11 @@ _WRITE_BLOCK = 1 << 14
 # native (t, x, y) -> display (x, y, t)
 _DISPLAY_ORDER = (1, 2, 0)
 
-# tessellate's peak traced allocation per grid vertex: 28.8 MB for the
-# 196,608 vertices of a 256x768 grid (tracemalloc, n = 3 and 17, 2 CPUs);
-# the row chunks keep the pool's temporaries near a quarter of the grid at
-# any thread count
-_PEAK_BYTES_PER_VERTEX = 147
+# tessellate's peak traced allocation per grid vertex, rounded up: 28.8 MB
+# (147 B) for the 196,608 vertices of a 256x768 grid (tracemalloc, n = 3
+# and 17, 2 CPUs; 144 B at 512x1536); the row chunks keep the pool's
+# temporaries near a quarter of the grid at any thread count
+_PEAK_BYTES_PER_VERTEX = 150
 
 
 def thread_cap() -> int:

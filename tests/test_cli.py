@@ -169,7 +169,7 @@ def test_mesh_rejects_a_grid_beyond_physical_memory(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
     assert err.rstrip("\n").splitlines()[-1] == (
         "zmcnoid: error: mesh: a 64x192 grid does not fit in memory: "
-        "it needs about 0.00168 GiB, of 0.000977 GiB physical")
+        "it needs about 0.00172 GiB, of 0.000977 GiB physical")
     assert not out.exists()
 
 

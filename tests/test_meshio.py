@@ -91,7 +91,14 @@ def test_tessellate_rejects_a_grid_beyond_physical_memory(monkeypatch):
         mio.tessellate(3, grid=(64, 193))
     monkeypatch.setattr(mio, "_physical_memory", lambda: None)
     assert mio.tessellate(3, grid=(8, 8)).vertex_count == 64
-    assert mio._PEAK_BYTES_PER_VERTEX * 256 * 768 > 25 * 2 ** 20
+    # the figure bounds what a grid really takes
+    tracemalloc.start()
+    try:
+        mio.tessellate(3, grid=(96, 768))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 768 * mio._PEAK_BYTES_PER_VERTEX
 
 
 def test_tessellate_checks_the_degree_first():
