@@ -130,14 +130,9 @@ def immersion_certificate(n: int, grid_spec: GridSpec) -> ImmersionReport:
     bound = eval_U(n - 2, uu) / (math.sqrt(2.0) * psi(n, uu, tt) ** 2)
     observed = np.maximum(np.abs(j01), np.abs(j02))
     ok = bool(np.all(bound > 0.0) and np.all(observed >= bound * (1.0 - 1e-9)))
-    return ImmersionReport(
-        n=n,
-        u_count=grid_spec.u_count,
-        theta_count=grid_spec.theta_count,
-        min_certified_bound=float(bound.min()),
-        min_observed=float(observed.min()),
-        passed=ok,
-    )
+    return ImmersionReport(n=n, u_count=grid_spec.u_count, theta_count=grid_spec.theta_count,
+                           min_certified_bound=float(bound.min()),
+                           min_observed=float(observed.min()), passed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +415,9 @@ class EmbeddednessReport:
 def _scan_height(n: int, h: float, samples: int, tol: float) -> HeightScan:
     xy = np.stack([c.points[:, 1:3] for c in level_curve(n, h, samples)])
     self_hits = len(polyline_self_intersections(xy[0], tol))
-    # rotation carries copy a to copy a+k, so testing copy 0 against every
-    # other covers all pairs
-    cross_hits, min_cross = polyline_set_scan(xy[:1], xy[1:], tol)
+    # rotation carries copy a to copy a+k, so copy 0 against copy k covers the
+    # pairs of class k; R^k turns (0, n-k) into (k, 0), so k <= n/2 covers them all
+    cross_hits, min_cross = polyline_set_scan(xy[:1], xy[1:n // 2 + 1], tol)
     # the mirrored slice is an isometric image: its sector statement is that of |h|
     sector = region_Dh_certificate(n, abs(h)).passed
     ok = self_hits == 0 and cross_hits == 0 and sector and min_cross > 0.0
@@ -463,13 +458,14 @@ def embeddedness_scan(
     """Self- and cross-intersection sweep of the sampled height slices.
 
     Nonzero heights get a polyline self-test of the fundamental arc, direct
-    segment tests against every rotated copy, and the sector certificate;
-    height zero checks that the 2n rays are straight, positively traversed,
-    pairwise disjoint, and miss the origin (their common limit).  Any hit
-    is counted; a clean report is sampled evidence beside the sector
-    certificate, whose verdict is one per order (h enters it at one contour
-    point).  A nonzero height needs n <= 65, the orders that certificate
-    reaches; past that the scan raises ValueError before it evaluates any slice.
+    segment tests of copy 0 against copies 1..n/2, one per rotation class of
+    copy pairs, and the sector certificate; height zero checks that the 2n
+    rays are straight, positively traversed, pairwise disjoint, and miss the
+    origin (their common limit).  Any hit is counted (a copy pair's once per
+    class); a clean report is sampled evidence beside the sector certificate,
+    whose verdict is one per order (h enters it at one contour point).  A
+    nonzero height needs n <= 65, the orders that certificate reaches; past
+    that the scan raises ValueError before it evaluates any slice.
     """
     check_order(n, 3)
     tol = check_tolerance(tol)

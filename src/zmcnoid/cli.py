@@ -201,7 +201,16 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value such as -1e4 or -inf as an option (it passes -1 and
+    # -.5), so a float option's value that starts with one "-" is glued to it
+    glued = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if (glued and glued[-1] in ("--u-max", "--eps", "--h")
+                and arg.startswith("-") and not arg.startswith("--")):
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    args = parser.parse_args(glued)
     try:
         return _COMMANDS[args.command](args, parser)
     except ValueError as exc:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -756,6 +757,39 @@ def test_embeddedness_slices_match_all_pairs_oracle():
         ])
         assert rec.cross_intersections == int(np.count_nonzero(d < geo.DEFAULT_TOLERANCE))
         assert rec.min_cross_distance == float(d.min())
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("samples", [256, 2048])
+def test_embeddedness_half_scan_matches_every_copy(n, samples):
+    # copy 0 walks against copies 1..n/2 only; the scan over all n - 1 copies
+    # meets the same count (0 here) and the same minimum, bit for bit
+    heights = [0.01, -0.01, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0]
+    report = an.embeddedness_scan(n, heights, samples=samples, tol=1e-9)
+    for h, rec in zip(heights, report.records):
+        xy = np.stack([c.points[:, 1:3] for c in an.level_curve(n, h, samples)])
+        hits, distance = geo.polyline_set_scan(xy[:1], xy[1:], 1e-9)
+        assert (rec.cross_intersections, rec.min_cross_distance) == (hits, distance), (n, h)
+
+
+def test_embeddedness_counts_a_crossing_once_per_rotation_class(monkeypatch):
+    # copy 0 is the chord x = -1, |y| <= 2 and copy k its turn by 2 pi k/6:
+    # chords 0 and k cross at |y| = tan(pi k/6) when that is below 2, so the
+    # classes {1, 5} and {2, 4} cross and {3} does not; the scan counts each
+    # class's crossing once
+    n = 6
+    y = np.linspace(-2.0, 2.0, 257)
+    chord = np.stack([np.zeros_like(y), -np.ones_like(y), y], axis=1)
+    turns = [np.array([[1, 0, 0], [0, math.cos(a), math.sin(a)], [0, -math.sin(a), math.cos(a)]])
+             for a in 2 * math.pi * np.arange(n) / n]
+    copies = [types.SimpleNamespace(points=chord @ turn) for turn in turns]
+    monkeypatch.setattr(an, "level_curve", lambda n, h, samples: copies)
+    rec, = an.embeddedness_scan(n, [0.5], samples=257).records
+    assert rec.self_intersections == 0 and rec.sector_disjoint
+    assert rec.cross_intersections == 2 and rec.min_cross_distance == 0.0
+    assert not rec.passed
+    xy = np.stack([c.points[:, 1:3] for c in copies])
+    assert [geo.polyline_set_scan(xy[:1], xy[k:k + 1])[0] for k in range(1, n)] == [1, 1, 0, 1, 1]
 
 
 def test_mirrored_slices_scan_like_their_positive_twins():

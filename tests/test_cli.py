@@ -382,6 +382,33 @@ def test_levels_rejects_u_max_without_finite_rays(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_levels_takes_a_negative_exponent_height_as_a_value(tmp_path):
+    # argparse alone reads -1e4 as an option and exits 2
+    spaced, glued = str(tmp_path / "spaced.csv"), str(tmp_path / "glued.csv")
+    assert run_cli(["levels", "--n", "3", "--h", "-1e4", "--out", spaced]) == 0
+    assert run_cli(["levels", "--n", "3", "--h=-1e4", "--out", glued]) == 0
+    with open(spaced, "rb") as a, open(glued, "rb") as b:
+        assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("head, option, value", [
+    (["levels", "--n", "3"], "--h", "-1e300"),
+    (["levels", "--n", "3", "--h", "1"], "--u-max", "-inf"),
+    (["mesh", "--n", "3"], "--u-max", "-inf"),
+    (["mesh", "--n", "3"], "--eps", "-1e-3"),
+])
+def test_negative_float_values_fail_like_their_equals_form(tmp_path, capsys, head, option, value):
+    out = tmp_path / ("x.csv" if head[0] == "levels" else "x.ply")
+    lines = []
+    for argv in ([option, value], [f"{option}={value}"]):
+        assert run_expect_usage_error([*head, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines.append(err.rstrip("\n").splitlines()[-1])
+        assert not out.exists()
+    assert lines[0] == lines[1] and lines[0].startswith("zmcnoid: error: ")
+
+
 def test_levels_io_error(tmp_path):
     out = str(tmp_path / "nope" / "x.csv")
     assert run_cli(["levels", "--n", "3", "--h", "1", "--out", out]) == 3
