@@ -130,9 +130,14 @@ def immersion_certificate(n: int, grid_spec: GridSpec) -> ImmersionReport:
     bound = eval_U(n - 2, uu) / (math.sqrt(2.0) * psi(n, uu, tt) ** 2)
     observed = np.maximum(np.abs(j01), np.abs(j02))
     ok = bool(np.all(bound > 0.0) and np.all(observed >= bound * (1.0 - 1e-9)))
-    return ImmersionReport(n=n, u_count=grid_spec.u_count, theta_count=grid_spec.theta_count,
-                           min_certified_bound=float(bound.min()),
-                           min_observed=float(observed.min()), passed=ok)
+    return ImmersionReport(
+        n=n,
+        u_count=grid_spec.u_count,
+        theta_count=grid_spec.theta_count,
+        min_certified_bound=float(bound.min()),
+        min_observed=float(observed.min()),
+        passed=ok,
+    )
 
 
 # ---------------------------------------------------------------------------

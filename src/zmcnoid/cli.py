@@ -24,12 +24,9 @@ IO_ERROR = 3
 
 
 def parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"grid must look like 64x192, got {text!r}")
     try:
-        nu, ntheta = int(parts[0]), int(parts[1])
-    except ValueError:
+        nu, ntheta = (int(part) for part in text.lower().split("x"))
+    except ValueError:  # also when there are not two parts to unpack
         raise argparse.ArgumentTypeError(f"grid must look like 64x192, got {text!r}")
     return nu, ntheta
 
@@ -201,8 +198,7 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
-    # argparse reads a value such as -1e4 or -inf as an option (it passes -1 and
-    # -.5), so a float option's value that starts with one "-" is glued to it
+    # argparse reads -1e4 or -inf as an option (it passes -1 and -.5): glue it on
     glued = []
     for arg in sys.argv[1:] if argv is None else argv:
         if (glued and glued[-1] in ("--u-max", "--eps", "--h")

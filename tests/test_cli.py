@@ -259,6 +259,15 @@ def test_verify_out_prints_a_residual_row_per_record(tmp_path, capsys):
     assert lines[-1] == f"{out}: 61/61 checks passed"
 
 
+@pytest.mark.parametrize("grid", ["8", "8x", "8x8x8", "axb"])
+def test_mesh_rejects_a_malformed_grid(tmp_path, capsys, grid):
+    out = tmp_path / "x.ply"
+    assert run_expect_usage_error(["mesh", "--n", "3", "--grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip("\n").splitlines()[-1] == (
+        f"zmcnoid mesh: error: argument --grid: grid must look like 64x192, got {grid!r}")
+    assert not out.exists()
+
+
 def test_verify_failure_exit_code(capsys):
     code = run_cli(["verify", "--n", "3", "--seed", "0",
                     "--tol", "weierstrass.null_form=1e-30"])
