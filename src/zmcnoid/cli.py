@@ -124,7 +124,7 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_levels(args, parser) -> int:
     if args.u_max <= 1.0:
-        parser.error(f"--u-max must exceed 1, got {args.u_max}")
+        parser.error(f"levels: --u-max must exceed 1, got {args.u_max}")
     check_order(args.n, 3)
     curves = []
     for h in dict.fromkeys(args.h):

@@ -2,12 +2,15 @@
 
 Builds display meshes of the extended surface over truncated subdomains,
 tags every vertex with its causal type, and writes OBJ / PLY / CSV
-artifacts that are byte-identical across runs for identical inputs.  The
-text writers format whole blocks of rows in numpy, floats as their repr and
-ints as their str, on a thread pool when a table has two blocks or more;
-only subnormal floats, and floats whose rounding is too close to call in
-float64, go through repr itself.  Outputs are written over in place and cut
-to length, not opened with O_TRUNC, which makes ext4 flush them on close.
+artifacts that are byte-identical across runs for identical inputs.  Each
+full-size mesh array is built once: the pool evaluates into the display
+planes that positions views, and the writers go a block of rows at a time,
+PLY through one reused record buffer.  The text writers format each block
+in numpy, floats as their repr and ints as their str, on a thread pool when
+a table has two blocks or more; only subnormal floats, and floats whose
+rounding is too close to call in float64, go through repr itself.  Outputs
+are written over in place and cut to length, not opened with O_TRUNC, which
+makes ext4 flush them on close.
 
 Display coordinates are ordered (x, y, t) so the rotational axis points up
 in common viewers; the evaluator's native order is (t, x, y).
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import CausalType, eval_extended_grid, omega_lower_bound
+from .extension import eval_extended_grid, omega_lower_bound
 
 DEGENERATE_FACE_AREA = 1e-14
 CAUSAL_NAMES = ("spacelike", "lightlike", "timelike")
@@ -37,10 +40,10 @@ _WRITE_BLOCK = 1 << 14
 # native (t, x, y) -> display (x, y, t)
 _DISPLAY_ORDER = (1, 2, 0)
 
-# tessellate's peak traced allocation per grid vertex, rounded up: 28.8 MB
-# (147 B) for the 196,608 vertices of a 256x768 grid (tracemalloc, n = 3
-# and 17, 2 CPUs; 144 B at 512x1536); the row chunks keep the pool's
-# temporaries near a quarter of the grid at any thread count
+# tessellate's peak traced allocation per grid vertex, with headroom: 23.4 MB
+# (125 B) for the 196,608 vertices of a 256x768 grid (tracemalloc, n = 3;
+# 122 B at n = 17, 2 CPUs; 118 B at 512x1536); the row chunks keep the
+# pool's temporaries near a quarter of the grid at any thread count
 _PEAK_BYTES_PER_VERTEX = 150
 
 
@@ -134,7 +137,8 @@ def _split_quads(positions: np.ndarray, nu: int, ntheta: int, map=map) -> np.nda
                 faces[k, r0:r1, :, slot] = corner
 
     list(map(split, _row_chunks(nu - 1)))
-    return faces.reshape(-1, 3).compress(keep.ravel(), axis=0)
+    faces = faces.reshape(-1, 3)
+    return faces if keep.all() else faces.compress(keep.ravel(), axis=0)
 
 
 def tessellate(
@@ -173,22 +177,21 @@ def tessellate(
     frac = np.linspace(0.0, 1.0, nu)[:, None]
     uu = lo[None, :] + (u_max - lo[None, :]) * frac
 
-    causal = np.select(
-        [uu > 1.0, uu < 1.0],
-        [CausalType.SPACELIKE, CausalType.TIMELIKE],
-        CausalType.LIGHTLIKE,
-    ).astype(np.uint8)
-    native = np.empty((nu, ntheta, 3))
+    # the CausalType codes: SPACELIKE 0 above the fold, LIGHTLIKE 1 on it, TIMELIKE 2 below
+    causal = (uu <= 1.0).view(np.uint8) + (uu < 1.0).view(np.uint8)
+    planes = np.empty((3, nu, ntheta))  # display (x, y, t) planes
 
     def fill(rows):
         with np.errstate(over="ignore", invalid="ignore"):  # caught below
-            native[rows] = eval_extended_grid(n, uu[rows], thetas[None, :])
+            native = eval_extended_grid(n, uu[rows], thetas[None, :])
+        for plane, axis in zip(planes, _DISPLAY_ORDER):
+            plane[rows] = native[..., axis]
 
     with ThreadPoolExecutor(max_workers=min(thread_cap(), nu)) as pool:
         list(pool.map(fill, _row_chunks(nu)))
-        if not np.isfinite(native).all():
+        if not np.isfinite(planes).all():
             raise ValueError(f"n={n}, u_max={u_max!r}: the surface overflows float64 on this grid")
-        positions = native[..., _DISPLAY_ORDER].reshape(-1, 3)
+        positions = planes.reshape(3, -1).T  # contiguous columns
         faces = _split_quads(positions, nu, ntheta, pool.map)
     domain = np.stack([uu, np.broadcast_to(thetas, uu.shape)], axis=2).reshape(-1, 2)
     return SurfaceMesh(
@@ -462,7 +465,9 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
     sidecar = os.devnull if path == os.devnull else path + ".causal.csv"
     with _rewrite(path) as fh:
         _write_rows(fh, "v {} {} {}\n", *mesh.positions.astype(np.float64, copy=False).T)
-        _write_rows(fh, "f {} {} {}\n", *mesh.faces.T.astype(np.int64) + 1)
+        # 1-based in the faces' own dtype where it holds the largest index
+        wide = np.iinfo(mesh.faces.dtype).max < mesh.vertex_count
+        _write_rows(fh, "f {} {} {}\n", *np.add(mesh.faces.T, 1, dtype=np.int64 if wide else None))
         if mesh.vertex_count == 0 and mesh.face_count == 0:
             fh.write(b"\n")
     with _rewrite(sidecar) as fh:
@@ -519,21 +524,18 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
             "end_header",
         ]
     )
-    verts = np.empty(mesh.vertex_count, dtype=_PLY_VERTEX_DTYPE)
-    verts["x"] = mesh.positions[:, 0]
-    verts["y"] = mesh.positions[:, 1]
-    verts["z"] = mesh.positions[:, 2]
-    verts["causal"] = mesh.causal
-    faces = np.empty(mesh.face_count, dtype=_PLY_FACE_DTYPE)
+    verts = np.empty(_WRITE_BLOCK, dtype=_PLY_VERTEX_DTYPE)
+    faces = np.empty(_WRITE_BLOCK, dtype=_PLY_FACE_DTYPE)
     faces["count"] = 3
-    faces["a"] = mesh.faces[:, 0]
-    faces["b"] = mesh.faces[:, 1]
-    faces["c"] = mesh.faces[:, 2]
     with _rewrite(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(b"\n")
-        fh.write(verts)
-        fh.write(faces)
+        for records, columns in ((verts, (*mesh.positions.T, mesh.causal)), (faces, mesh.faces.T)):
+            for start in range(0, len(columns[0]), _WRITE_BLOCK):
+                block = records[:len(columns[0]) - start]
+                for name, column in zip(records.dtype.names[-len(columns):], columns):
+                    block[name] = column[start:start + _WRITE_BLOCK]
+                fh.write(block)
 
 
 def read_ply(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

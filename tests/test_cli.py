@@ -379,6 +379,16 @@ def test_levels_rejects_heights_without_finite_output(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_levels_names_itself_when_u_max_is_at_most_1(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for u_max in ("1", "0.5", "-inf"):
+        assert run_expect_usage_error(
+            ["levels", "--n", "3", "--h", "1", f"--u-max={u_max}", "--out", str(out)]) == 2, u_max
+        last = capsys.readouterr().err.rstrip("\n").splitlines()[-1]
+        assert last == f"zmcnoid: error: levels: --u-max must exceed 1, got {float(u_max)}"
+        assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_levels_rejects_u_max_without_finite_rays(tmp_path, capsys):
     out = tmp_path / "x.csv"

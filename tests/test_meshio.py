@@ -328,6 +328,22 @@ def test_tessellation_bytes_do_not_depend_on_threads(monkeypatch, pool_sizes, th
     assert digest.hexdigest() == TESSELLATION_DIGESTS[3, 3.0]
 
 
+def test_split_quads_keeps_every_face_of_a_real_grid():
+    # no face of a tessellated grid is a sliver, so all 2 (nu - 1) ntheta stay
+    nu, ntheta = 64, 192
+    mesh = mio.tessellate(3, grid=(nu, ntheta))
+    faces = assert_split_matches_oracle(mesh.positions, nu, ntheta)
+    assert faces.shape == (2 * (nu - 1) * ntheta, 3)
+    assert np.array_equal(mesh.faces, faces)
+
+
+def test_tessellate_positions_have_contiguous_columns():
+    # the OBJ writer formats each display coordinate as one contiguous column
+    mesh = mio.tessellate(3, grid=(16, 24))
+    assert mesh.positions.shape == (16 * 24, 3)
+    assert all(column.flags.c_contiguous for column in mesh.positions.T)
+
+
 # ---------------------------------------------------------------------------
 # OBJ
 # ---------------------------------------------------------------------------
@@ -454,6 +470,19 @@ def test_obj_matches_per_row_oracle_on_empty_meshes(tmp_path):
         causal=np.array([1], dtype=np.uint8), faces=np.empty((0, 3), dtype=np.int32),
     )
     assert_obj_matches_oracle(no_faces, tmp_path)
+
+
+def test_obj_face_indices_do_not_wrap_in_narrow_dtypes(tmp_path):
+    # index 255 of a uint8 face array is written as 256, as from int32 faces
+    positions = np.random.default_rng(7).standard_normal((256, 3))
+    faces = np.array([[0, 1, 255], [255, 127, 128]])
+    mesh = mio.SurfaceMesh(n=3, positions=positions, domain=np.zeros((256, 2)),
+                           causal=np.zeros(256, dtype=np.uint8), faces=faces.astype(np.int32))
+    assert_obj_matches_oracle(mesh, tmp_path)
+    wide = open(tmp_path / "new.obj", "rb").read()
+    for dtype in (np.uint8, np.int16):
+        mio.export_obj(dataclasses.replace(mesh, faces=faces.astype(dtype)), str(tmp_path / "narrow.obj"))
+        assert open(tmp_path / "narrow.obj", "rb").read() == wide, dtype
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +738,55 @@ def test_ply_byte_determinism(small_mesh, tmp_path):
     mio.export_ply(small_mesh, p1)
     mio.export_ply(small_mesh, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def oracle_ply_bytes(mesh):
+    # the whole-mesh record arrays that the block writer replaced
+    verts = np.empty(mesh.vertex_count, dtype=mio._PLY_VERTEX_DTYPE)
+    for k, name in enumerate("xyz"):
+        verts[name] = mesh.positions[:, k]
+    verts["causal"] = mesh.causal
+    faces = np.empty(mesh.face_count, dtype=mio._PLY_FACE_DTYPE)
+    faces["count"] = 3
+    for k, name in enumerate("abc"):
+        faces[name] = mesh.faces[:, k]
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {mesh.vertex_count}\n"
+              "property double x\nproperty double y\nproperty double z\nproperty uchar causal\n"
+              f"element face {mesh.face_count}\nproperty list uchar int vertex_indices\n"
+              "end_header\n")
+    return header.encode("ascii") + verts.tobytes() + faces.tobytes()
+
+
+def test_ply_matches_whole_mesh_records_across_blocks(tmp_path):
+    # more than one block of vertices, and a face count off the block size
+    mesh = mio.tessellate(3, grid=(72, 256))
+    assert mesh.vertex_count > mio._WRITE_BLOCK and mesh.face_count % mio._WRITE_BLOCK
+    path = str(tmp_path / "mesh.ply")
+    mio.export_ply(mesh, path)
+    assert open(path, "rb").read() == oracle_ply_bytes(mesh)
+
+
+def test_ply_matches_whole_mesh_records_without_faces(small_mesh, tmp_path):
+    path = str(tmp_path / "mesh.ply")
+    for mesh in (dataclasses.replace(small_mesh, faces=np.empty((0, 3), dtype=np.int32)),
+                 dataclasses.replace(small_mesh, positions=np.empty((0, 3)),
+                                     causal=np.empty(0, dtype=np.uint8),
+                                     faces=np.empty((0, 3), dtype=np.int32))):
+        mio.export_ply(mesh, path)
+        assert open(path, "rb").read() == oracle_ply_bytes(mesh)
+
+
+def test_ply_writes_in_blocks_of_bounded_memory(tmp_path):
+    # the records go out a block at a time: whole-mesh record arrays of a
+    # 256x768 grid would take about 10 MB
+    mesh = mio.tessellate(3, grid=(256, 768))
+    tracemalloc.start()
+    try:
+        mio.export_ply(mesh, str(tmp_path / "mesh.ply"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_mesh_writers_refuse_non_finite_positions(small_mesh, tmp_path):
