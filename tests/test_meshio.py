@@ -757,13 +757,18 @@ def oracle_ply_bytes(mesh):
     return header.encode("ascii") + verts.tobytes() + faces.tobytes()
 
 
-def test_ply_matches_whole_mesh_records_across_blocks(tmp_path):
+def test_ply_matches_whole_mesh_records_across_blocks(small_mesh, tmp_path, monkeypatch):
     # more than one block of vertices, and a face count off the block size
     mesh = mio.tessellate(3, grid=(72, 256))
     assert mesh.vertex_count > mio._WRITE_BLOCK and mesh.face_count % mio._WRITE_BLOCK
     path = str(tmp_path / "mesh.ply")
     mio.export_ply(mesh, path)
     assert open(path, "rb").read() == oracle_ply_bytes(mesh)
+    # many blocks and a ragged last one
+    for block in (1, 7, 64):
+        monkeypatch.setattr(mio, "_WRITE_BLOCK", block)
+        mio.export_ply(small_mesh, path)
+        assert open(path, "rb").read() == oracle_ply_bytes(small_mesh), block
 
 
 def test_ply_matches_whole_mesh_records_without_faces(small_mesh, tmp_path):
