@@ -1,6 +1,7 @@
 """Mesh tessellation and deterministic artifact serialization.
 
 Builds display meshes of the extended surface over truncated subdomains,
+two faces per grid quad however small they get toward the end at infinity,
 tags every vertex with its causal type, and writes OBJ / PLY / CSV
 artifacts that are byte-identical across runs for identical inputs.  Each
 full-size mesh array is built once: the pool evaluates into the display
@@ -30,7 +31,6 @@ import numpy as np
 
 from .extension import eval_extended_grid, omega_lower_bound
 
-DEGENERATE_FACE_AREA = 1e-14
 CAUSAL_NAMES = ("spacelike", "lightlike", "timelike")
 
 # rows per formatted block in the text writers: large enough to amortize
@@ -40,9 +40,9 @@ _WRITE_BLOCK = 1 << 14
 # native (t, x, y) -> display (x, y, t)
 _DISPLAY_ORDER = (1, 2, 0)
 
-# tessellate's peak traced allocation per grid vertex, with headroom: 23.4 MB
-# (125 B) for the 196,608 vertices of a 256x768 grid (tracemalloc, n = 3;
-# 122 B at n = 17, 2 CPUs; 118 B at 512x1536); the row chunks keep the
+# tessellate's peak traced allocation per grid vertex, with headroom: 15.0 MB
+# (76 B) for the 196,608 vertices of a 256x768 grid (tracemalloc, n = 3;
+# 84 B at n = 17, 1 to 8 threads; 76 B at 512x1536); the row chunks keep the
 # pool's temporaries near a quarter of the grid at any thread count
 _PEAK_BYTES_PER_VERTEX = 150
 
@@ -103,20 +103,17 @@ def _row_chunks(rows: int) -> list[slice]:
 
 
 def _split_quads(positions: np.ndarray, nu: int, ntheta: int, map=map) -> np.ndarray:
-    """Split each quad along its shorter display diagonal, dropping slivers.
+    """Split each quad along its shorter display diagonal: 2 (nu - 1) ntheta faces.
 
     Quad (i, j) has corners a = (i, j), b = (i, j + 1), c = (i + 1, j + 1) and
     d = (i + 1, j), column 0 repeated past the theta seam.  Its faces are
     (a, b, c), (a, c, d) if |c - a| <= |d - b|, else (b, c, d), (b, d, a), all
-    first faces first, less those of area <= DEGENERATE_FACE_AREA from the cross
-    products (b - a | c - b) x (c - a | d - b) and (c - a | d - b) x (d - a | b - a)
-    as np.cross rounds them; b - a for a - b negates one exactly.  map runs
-    the row chunks of _row_chunks(nu - 1), each writing only its own rows.
+    first faces first.  map runs the row chunks of _row_chunks(nu - 1), each
+    writing only its own rows.
     """
     grid = positions.reshape(nu, ntheta, 3).transpose(2, 0, 1)
     seam = np.r_[:ntheta, 0].astype(np.int32)
     faces = np.empty((2, nu - 1, ntheta, 3), dtype=np.int32)
-    keep = np.empty((2, nu - 1, ntheta), dtype=bool)
 
     def split(rows):  # quad rows r0..r1 - 1, from vertex rows r0..r1
         r0, r1 = rows.indices(nu - 1)[:2]
@@ -125,20 +122,14 @@ def _split_quads(positions: np.ndarray, nu: int, ntheta: int, map=map) -> np.nda
         (ia, a), (ib, b), (ic, c), (id_, d) = ((index[i:r1 - r0 + i, j:ntheta + j],
                                                 planes[:, i:r1 - r0 + i, j:ntheta + j])
                                                for i, j in ((0, 0), (0, 1), (1, 1), (1, 0)))
-        ba, ca, cb, db = b - a, c - a, c - b, d - b
-        ac = _norm(ca) <= _norm(db)  # split along a-c
-        e0, e1, e2 = (np.where(ac, x, y) for x, y in ((ba, cb), (ca, db), (d - a, ba)))
-        for k, ((u0, u1, u2), (v0, v1, v2)) in enumerate(((e0, e1), (e1, e2))):
-            cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-            keep[k, r0:r1] = 0.5 * _norm(cross) > DEGENERATE_FACE_AREA
+        ac = _norm(c - a) <= _norm(d - b)  # split along a-c
         ab, bc, cd, da = (np.where(ac, x, y) for x, y in ((ia, ib), (ib, ic), (ic, id_), (id_, ia)))
         for k, slots in enumerate(((ab, bc, cd), (ab, cd, da))):
             for slot, corner in enumerate(slots):
                 faces[k, r0:r1, :, slot] = corner
 
     list(map(split, _row_chunks(nu - 1)))
-    faces = faces.reshape(-1, 3)
-    return faces if keep.all() else faces.compress(keep.ravel(), axis=0)
+    return faces.reshape(-1, 3)
 
 
 def tessellate(

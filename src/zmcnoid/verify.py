@@ -285,10 +285,7 @@ def _check_infinity_decay(rng, n):
     us = (100.0, 1e3, 1e4)
     pts = eval_extended_grid(n, np.stack([np.full_like(theta, u) for u in us]), theta)
     fitted = scale * float(np.max(np.linalg.norm(pts[0], axis=-1)) * 100.0)
-    worst = 0.0
-    for u, p in zip(us[1:], pts[1:]):
-        norms = np.linalg.norm(p, axis=-1)
-        worst = max(worst, float(np.max(norms) * u / fitted))
+    worst = float(np.max(np.linalg.norm(pts[1:], axis=-1) * np.array(us[1:])[:, None] / fitted))
     return {"fit_u": 100.0, "C": fitted}, worst
 
 
@@ -358,9 +355,7 @@ def _check_contour_roundtrip(rng, n):
                           (1.0 - 1e-3) * wedge, 200) for h in heights]
     x0 = _height(n, np.stack([contour_u(n, h, t) for h, t in zip(heights, thetas)]),
                  np.stack(thetas))[0]
-    worst = 0.0
-    for h, row in zip(heights, x0):
-        worst = max(worst, float(np.max(np.abs(row - h))))
+    worst = float(np.max(np.abs(x0 - np.array(heights)[:, None])))
     return {"theta_grid": 200, "heights": list(heights)}, worst
 
 
@@ -378,9 +373,7 @@ def _check_level_curve_mirror(rng, n):
     u = [contour_u(n, h, theta) for h in (0.01, 1.0)]
     pts = eval_extended_grid(n, np.stack([u[0], u[0], u[1], u[1]]),
                              np.stack([theta, 2.0 * math.pi - theta] * 2))
-    worst = 0.0
-    for upper, lower in zip(pts[::2], pts[1::2]):
-        worst = max(worst, float(np.max(np.abs(upper @ reflection_matrix().T - lower))))
+    worst = float(np.max(np.abs(pts[::2] @ reflection_matrix().T - pts[1::2])))
     return {"theta_grid": 200, "heights": [0.01, 1.0]}, worst
 
 

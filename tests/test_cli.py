@@ -68,6 +68,18 @@ def test_mesh_large_order(tmp_path):
     assert np.all(np.isfinite(pos))
 
 
+@pytest.mark.parametrize("u_max, grid, counts", [("1e7", "64x192", (12288, 24192)),
+                                                  ("1e150", "8x8", (64, 112))])
+def test_mesh_keeps_every_face_near_the_end_at_infinity(tmp_path, capsys, u_max, grid, counts):
+    # faces shrink toward the origin as u grows; every quad still writes two
+    out = str(tmp_path / "x.ply")
+    assert run_cli(["mesh", "--n", "3", "--u-max", u_max, "--grid", grid, "--out", out]) == 0
+    assert capsys.readouterr().out == f"{out}: {counts[0]} vertices, {counts[1]} faces\n"
+    pos, _, faces = read_ply(out)
+    assert faces.shape == (counts[1], 3)
+    assert np.isfinite(pos).all()
+
+
 def test_mesh_byte_determinism(tmp_path):
     a, b = str(tmp_path / "a.ply"), str(tmp_path / "b.ply")
     run_cli(["mesh", "--n", "3", "--grid", "12x16", "--out", a])

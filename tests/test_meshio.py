@@ -170,7 +170,7 @@ def test_tessellate_no_degenerate_faces(small_mesh):
     e1 = p[f[:, 1]] - p[f[:, 0]]
     e2 = p[f[:, 2]] - p[f[:, 0]]
     area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-    assert np.min(area) > mio.DEGENERATE_FACE_AREA
+    assert np.min(area) > 1e-14
 
 
 def test_tessellate_n2_graph_relation():
@@ -190,8 +190,8 @@ def test_tessellate_thread_count_invariance(monkeypatch, pool_sizes):
     assert serial.causal.tobytes() == threaded.causal.tobytes()
 
 
-# The np.roll / np.cross quad splitter that the seam-padded planes replaced,
-# kept as the oracle: _split_quads must reproduce its faces exactly.
+# The np.roll quad splitter that the seam-padded planes replaced, less its
+# area filter, kept as the oracle: _split_quads must reproduce its faces exactly.
 
 def oracle_split_quads(positions, nu, ntheta):
     grid = positions.reshape(nu, ntheta, 3)
@@ -200,20 +200,13 @@ def oracle_split_quads(positions, nu, ntheta):
     pb, pc = np.roll(pa, -1, axis=1), np.roll(pd, -1, axis=1)
     a, d = index[:-1], index[1:]
     b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
-    corners = ((a, pa), (b, pb), (c, pc), (d, pd))
+    corners = (a, b, c, d)
     use_ac = np.linalg.norm(pa - pc, axis=2) <= np.linalg.norm(pb - pd, axis=2)
-
-    def corner(ac, bd):
-        (i_ac, p_ac), (i_bd, p_bd) = corners[ac], corners[bd]
-        return np.where(use_ac, i_ac, i_bd), np.where(use_ac[..., None], p_ac, p_bd)
-
-    faces, areas = [], []
+    faces = []
     for slots in (((0, 1), (1, 2), (2, 3)), ((0, 1), (2, 3), (3, 0))):
-        (i0, p0), (i1, p1), (i2, p2) = (corner(*slot) for slot in slots)
-        faces.append(np.stack([i0, i1, i2], axis=2).reshape(-1, 3))
-        areas.append(0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=2).ravel())
-    faces, area = np.concatenate(faces), np.concatenate(areas)
-    return np.ascontiguousarray(faces[area > mio.DEGENERATE_FACE_AREA], dtype=np.int32)
+        face = [np.where(use_ac, corners[ac], corners[bd]) for ac, bd in slots]
+        faces.append(np.stack(face, axis=2).reshape(-1, 3))
+    return np.ascontiguousarray(np.concatenate(faces), dtype=np.int32)
 
 
 def assert_split_matches_oracle(positions, nu, ntheta):
@@ -226,9 +219,9 @@ def assert_split_matches_oracle(positions, nu, ntheta):
 @pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-6, 1e-3, 10.0])
 @pytest.mark.parametrize("lattice", [False, True])
 def test_split_quads_matches_oracle_on_random_positions(scale, lattice):
-    # face areas go as scale^2, so 1e-7 straddles DEGENERATE_FACE_AREA; the
-    # small-integer lattice makes exact diagonal ties common, and a vertex
-    # in three at the origin collapses whole triangles
+    # face areas go as scale^2, down to 1e-18 and below; the small-integer
+    # lattice makes exact diagonal ties common, and a vertex in three at the
+    # origin collapses whole triangles, which stay faces all the same
     rng = np.random.default_rng(1203 + int(lattice))
     nu, ntheta = 24, 40
     if lattice:
@@ -238,12 +231,12 @@ def test_split_quads_matches_oracle_on_random_positions(scale, lattice):
     positions *= scale
     positions[rng.random(nu * ntheta) < 0.3] = 0.0
     faces = assert_split_matches_oracle(positions, nu, ntheta)
-    assert len(faces) < 2 * (nu - 1) * ntheta
+    assert len(faces) == 2 * (nu - 1) * ntheta
 
 
 def test_split_quads_matches_oracle_on_collapsed_meshes():
     for positions in (np.zeros((8 * 9, 3)), np.full((8 * 9, 3), 2.5)):
-        assert assert_split_matches_oracle(positions, 8, 9).shape == (0, 3)
+        assert assert_split_matches_oracle(positions, 8, 9).shape == (2 * 7 * 9, 3)
 
 
 def test_row_chunks_partition_the_rows(monkeypatch):
@@ -335,6 +328,17 @@ def test_split_quads_keeps_every_face_of_a_real_grid():
     faces = assert_split_matches_oracle(mesh.positions, nu, ntheta)
     assert faces.shape == (2 * (nu - 1) * ntheta, 3)
     assert np.array_equal(mesh.faces, faces)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("u_max", [1e5, 1e7])
+def test_tessellate_keeps_every_face_toward_the_end_at_infinity(n, u_max):
+    # the surface runs into the origin as u grows, so the faces near u_max
+    # get tiny, down to areas far below 1e-14; each quad still gives two
+    nu, ntheta = 64, 192
+    mesh = mio.tessellate(n, u_max=u_max, grid=(nu, ntheta))
+    assert mesh.face_count == 2 * (nu - 1) * ntheta == 24192
+    assert np.array_equal(mesh.faces, oracle_split_quads(mesh.positions, nu, ntheta))
 
 
 def test_tessellate_positions_have_contiguous_columns():
