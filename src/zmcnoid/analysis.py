@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebyshev import MAX_DEGREE, check_order, eval_T, eval_U, factor_product, invert_T, psi
+from .chebyshev import (MAX_CERTIFIED_ORDER, MAX_ORDER, check_order, eval_T, eval_U,
+                        factor_product, invert_T, psi)
 from .extension import (
     domain_factors,
     eval_extended_grid,
@@ -42,8 +43,6 @@ INTERIOR_LOG_GAP_FLOOR = -2.0e5
 FOLD_DET_GUARD = 1e-6
 # region_Dh_certificate's rounding allowance where two sectors of D_1 share a line
 SECTOR_SLACK = 1e-13
-# the slice certificates evaluate U_{2n-2} (surface_partials)
-_CHAIN_MAX_ORDER = MAX_DEGREE // 2 + 1
 
 # lower-bound margins for the zero-mean-curvature verification grid, per n:
 # the residual of the finite-difference stencil blows up approaching the
@@ -75,7 +74,9 @@ def surface_partials(n: int, u, theta):
     -U_{n-1} sin(n theta) / Psi^2.  The minors det d(x0, xk)/d(u, theta) are
     J01 = U_{n-2} sin((n-1) theta) / Psi^2 and J02 = -U_{n-2} cos((n-1)
     theta) / Psi^2; along the contour x0 = h, dxk/dtheta = J0k / (dx0/du).
+    Takes 2 <= n <= MAX_CERTIFIED_ORDER.
     """
+    check_order(n, 2, MAX_CERTIFIED_ORDER)
     ua, ta, factors = domain_factors(n, u, theta)
     psi2 = factor_product(factors) ** 2
     u_n2, u_n1, u_2n2 = eval_U(n - 2, ua), eval_U(n - 1, ua), eval_U(2 * n - 2, ua)
@@ -237,18 +238,11 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
 # monotonicity and sector certificates: the slice facts of one order
 # ---------------------------------------------------------------------------
 
-def _check_chain_order(n: int) -> None:
-    check_order(n, 3)
-    if n > _CHAIN_MAX_ORDER:
-        raise ValueError(f"order n={n} is past {_CHAIN_MAX_ORDER}, the largest the slice "
-                         f"sign chains accept")
-
-
 def _slice_facts(n: int):
     # (passed, gap_x1, gap_x2) for every h at once: the kernel slopes against
     # their reduced form, worst relative gap per component, and the reduced
     # form's four factors > 0, on 32 angles x 32 gaps 1e-6..10 above cos(theta)
-    _check_chain_order(n)
+    check_order(n, 3, MAX_CERTIFIED_ORDER)
     thetas = _fundamental_arc_thetas(n, 32)
     u = np.cos(thetas) + np.geomspace(1e-6, 10.0, 32)[:, None]
     f_u, j01, j02 = surface_partials(n, u, thetas)
@@ -325,8 +319,9 @@ def upsilon(n: int, u):
     """The h-derivative of Phi, (1 + U_{2n-2} + 2 U_{n-1}) / (2 U_{n-1}).
 
     The identity 2 T_{n-1} U_{n-1} = U_{2n-2} + 1 reduces it to 1 + T_{n-1}(u).
+    Takes 3 <= n <= MAX_ORDER.
     """
-    check_order(n, 3)
+    check_order(n, 3, MAX_ORDER)
     return 1.0 + eval_T(n - 1, u)
 
 
@@ -469,16 +464,15 @@ def embeddedness_scan(
     origin (their common limit).  Any hit is counted (a copy pair's once per
     class); a clean report is sampled evidence beside the sector certificate,
     whose verdict is one per order (h enters it at one contour point).  A
-    nonzero height needs n <= 65, the orders that certificate reaches; past
-    that the scan raises ValueError before it evaluates any slice.
+    nonzero height needs n <= MAX_CERTIFIED_ORDER, the orders that certificate
+    reaches, and height zero n <= MAX_ORDER; past that the scan raises
+    ValueError before it evaluates any slice.
     """
-    check_order(n, 3)
-    tol = check_tolerance(tol)
     heights = list(heights)
+    check_order(n, 3, MAX_CERTIFIED_ORDER if any(h != 0.0 for h in heights) else MAX_ORDER)
+    tol = check_tolerance(tol)
     if not heights:
         raise ValueError("embeddedness scan needs at least one height")
-    if any(h != 0.0 for h in heights):
-        _check_chain_order(n)
     records = []
     for h in heights:
         if h == 0.0:

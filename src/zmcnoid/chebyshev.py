@@ -29,11 +29,14 @@ import math
 
 import numpy as np
 
-# Degrees are small in this package: the slice certificates reach n = 65
-# (U_{2n-2} = U_128) and the surface evaluator n = 129 (T_{n-1} = T_128).  The
-# recurrence is accurate in that range; reject anything larger instead of
-# silently degrading.
-MAX_DEGREE = 128
+# The recurrence is accurate up to MAX_DEGREE; larger degrees are rejected
+# instead of silently degrading.  Both order ceilings follow from it: an order n
+# evaluates up to T_n (invert_T, the h = 0 ray speed), so it reaches MAX_ORDER;
+# the slice certificates evaluate U_{2n-2} (surface_partials), so they reach
+# MAX_CERTIFIED_ORDER.  Entries that call neither eval_T nor eval_U take every order.
+MAX_DEGREE = 129
+MAX_ORDER = MAX_DEGREE
+MAX_CERTIFIED_ORDER = MAX_DEGREE // 2 + 1
 
 
 def _check_degree(n: int) -> None:
@@ -45,10 +48,12 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds supported cap {MAX_DEGREE}")
 
 
-def check_order(n: int, least: int) -> None:
-    """Raise ValueError naming n unless the order n is an integer >= least."""
+def check_order(n: int, least: int, most: int | None = None) -> None:
+    """Raise ValueError naming n unless the order n is an integer in [least, most]."""
     if not isinstance(n, (int, np.integer)) or n < least:
         raise ValueError(f"order n must be an integer >= {least}, got {n!r}")
+    if most is not None and n > most:
+        raise ValueError(f"order n={n} is past {most}, the largest supported order")
 
 
 def _recurrence(n: int, x, first: float):
@@ -102,13 +107,13 @@ def invert_T(n: int, y):
     Newton step on the recurrence brings it back to about 1 ulp.
 
     Args:
-        n: surface order, n >= 2.
+        n: surface order, 2 <= n <= MAX_ORDER.
         y: right-hand side, scalar or ndarray; every entry must be >= -1.
 
     Returns:
         float for scalar input, ndarray otherwise.
     """
-    check_order(n, 2)
+    check_order(n, 2, MAX_ORDER)
     ya = np.asarray(y, dtype=float)
     if np.any(ya < -1.0):
         raise ValueError("invert_T: T_n on the monotone branch never goes below -1")

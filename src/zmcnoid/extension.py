@@ -30,7 +30,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .chebyshev import _check_degree, check_order, eval_T, factor_product
+from .chebyshev import MAX_ORDER, check_order, eval_T, factor_product
 # the factors u - cos(theta - 2 pi j/n) of the denominator are also the
 # arguments of the log terms of x1 and x2, hence the local name
 from .chebyshev import difference_factors as log_factors
@@ -156,8 +156,7 @@ def x2_log_gap(n: int, log_gap, theta):
 def _height(n: int, u, theta, out=None):
     # x0 = sin(n theta) / D (into out if given) and the guarded u, theta, log factors
     # and D it came from: the one path to x0, for eval_extended_grid and x0 alone
-    check_order(n, 2)
-    _check_degree(n - 1)  # T_{n-1}, before 2^(n-1) of the n factors overflows
+    check_order(n, 2, MAX_ORDER)
     ua, ta, factors = _guarded_factors(n, u, theta, LOG_FACTOR_GUARD)
     D = n * factor_product(factors)
     return np.divide(np.sin(n * ta), D, out=out), ua, ta, factors, D
@@ -171,8 +170,8 @@ def eval_extended_grid(n: int, u, theta):
     point violates the domain or the log-factor guard.  Terms in theta alone
     are computed at theta's own shape, so a (1, ntheta) row pays once per column.
     A point gets the same bits alone or in any contiguous stack of points.
+    Takes 2 <= n <= MAX_ORDER.
     """
-    check_order(n, 2)
     out = np.empty(np.broadcast_shapes(np.shape(u), np.shape(theta)) + (3,))
     _, ua, ta, factors, D = _height(n, u, theta, out[..., 0])
     tn1 = eval_T(n - 1, ua)

@@ -717,7 +717,7 @@ def test_orders_past_the_sign_chains_are_rejected_at_entry(monkeypatch, n):
 
     for name in ("level_curve", "contour_u", "surface_partials"):
         monkeypatch.setattr(an, name, never)
-    message = f"^order n={n} is past 65, the largest the slice sign chains accept$"
+    message = f"^order n={n} is past 65, the largest supported order$"
     for certify in (lambda: an.embeddedness_scan(n, [0.0, 1.0], samples=64),
                     lambda: an.curve_monotonicity_report(n, 1.0),
                     lambda: an.region_Dh_certificate(n, 1.0)):
@@ -727,6 +727,11 @@ def test_orders_past_the_sign_chains_are_rejected_at_entry(monkeypatch, n):
     assert an.embeddedness_scan(65, [1.0], samples=64).passed
     # the h = 0 rays keep their range
     assert an.embeddedness_scan(66, [0.0], samples=64).passed
+
+
+def test_rays_reach_the_largest_order():
+    # the ray speed evaluates T_n, so the h = 0 scan reaches MAX_ORDER itself
+    assert an.embeddedness_scan(129, [0.0], samples=256).passed
 
 
 def test_embeddedness_scan_rejects_bad_tolerance():

@@ -234,6 +234,10 @@ def test_degree_cap_enforced():
         cb.eval_T(-1, 0.5)
     with pytest.raises(ValueError):
         cb.eval_U(-1, 0.5)
+    with pytest.raises(TypeError, match="^degree must be an integer, got float$"):
+        cb.eval_T(2.5, 0.5)
+    with pytest.raises(ValueError, match="^derivative formula needs degree >= 1, got 0$"):
+        cb.eval_T_derivative(0, 0.5)
 
 
 def test_scalar_in_scalar_out():
@@ -287,3 +291,64 @@ def test_the_order_table_lists_every_function_that_takes_n():
             and f.__module__ == module.__name__
             and list(inspect.signature(f).parameters)[:1] == ["n"])
     assert takes_n == set(ORDER_ENTRIES) - {ws.JorgeMeeksData} | DEGREE_ENTRIES | {cb.check_order}
+
+
+# entries that reach eval_T or eval_U, each with its ceiling and arguments valid
+# past it; every other entry of ORDER_ENTRIES takes every order
+ORDER_CEILINGS = [
+    (cb.invert_T, cb.MAX_ORDER, 0.5), (ext.eval_extended_grid, cb.MAX_ORDER, 2.0, 0.5),
+    (ext.first_partials_grid, cb.MAX_ORDER, 2.0, 0.5),
+    (ext.first_fundamental_grid, cb.MAX_ORDER, 2.0, 0.5),
+    (ext.causal_type_grid, cb.MAX_ORDER, 2.0, 0.5),
+    (an.surface_partials, cb.MAX_CERTIFIED_ORDER, 2.0, 0.5),
+    (an.immersion_certificate, cb.MAX_CERTIFIED_ORDER, an.GridSpec(1.5, 2.0, 4)),
+    (an.contour_u, cb.MAX_ORDER, 1.0, 0.01), (an.level_curve, cb.MAX_ORDER, 1.0, 16),
+    (an.level_curve, cb.MAX_ORDER, 0.0, 16), (an.contour_endpoint_limits, cb.MAX_ORDER, 1.0),
+    (an.mean_curvature_residual, cb.MAX_ORDER, 2.0, 0.5),
+    (an.curve_monotonicity_report, cb.MAX_CERTIFIED_ORDER, 1.0),
+    (an.upsilon, cb.MAX_ORDER, 1.0), (an.region_Dh_certificate, cb.MAX_CERTIFIED_ORDER, 1.0),
+    (an.embeddedness_scan, cb.MAX_CERTIFIED_ORDER, [0.0, 1.0], 64),
+    (an.embeddedness_scan, cb.MAX_ORDER, [0.0], 64),
+    (mio.tessellate, cb.MAX_ORDER, 3.0, 0.02, (8, 8)),
+]
+
+
+@pytest.mark.parametrize("case", ORDER_CEILINGS,
+                         ids=lambda c: f"{c[0].__qualname__}-{c[1] + 1}")
+def test_order_entries_reject_one_past_their_ceiling_first(monkeypatch, case):
+    entry, most, *args = case
+
+    def never(*_):
+        raise AssertionError("evaluated past the ceiling")
+
+    # the recurrence and the factored denominator are never reached
+    for module, name in ((cb, "_recurrence"), (ext, "factor_product"), (an, "factor_product")):
+        monkeypatch.setattr(module, name, never)
+    message = f"^order n={most + 1} is past {most}, the largest supported order$"
+    with pytest.raises(ValueError, match=message):
+        entry(most + 1, *args)
+
+
+def test_order_entries_take_their_ceiling():
+    n = cb.MAX_ORDER
+    assert np.isfinite(ext.eval_extended_grid(n, np.array([1.5, 3.0]), 0.5)).all()
+    for y in (0.5, 1e10):
+        assert abs(cb.eval_T(n, cb.invert_T(n, y)) / y - 1.0) < 1e-9
+    assert an.upsilon(n, 1.0) == 2.0
+    for h in (0.0, 1.0, -1.0):
+        curves = an.level_curve(n, h, 16)
+        assert len(curves) == (2 * n if h == 0.0 else n)
+        assert all(np.isfinite(c.points).all() for c in curves)
+    assert np.isfinite(mio.tessellate(n, 3.0, 0.02, (8, 8)).positions).all()
+    f_u, j01, j02 = an.surface_partials(cb.MAX_CERTIFIED_ORDER, 2.0, 0.5)
+    assert np.isfinite(f_u).all() and j01 != 0.0 and j02 != 0.0
+
+
+def test_entries_without_a_ceiling_take_every_order():
+    capped = {case[0] for case in ORDER_CEILINGS}
+    assert capped <= set(ORDER_ENTRIES)
+    # angles moved inside the wedge (0, pi/n) of the larger n
+    inside = {ext.x2_log_gap: (-1.0, 0.01), an.properness_probe: (0.01, 32)}
+    for entry, (_, *args) in ORDER_ENTRIES.items():
+        if entry not in capped:
+            entry(cb.MAX_ORDER + 1, *inside.get(entry, args))

@@ -122,7 +122,7 @@ def test_orders_past_the_degree_cap_are_one_line_errors(tmp_path, capsys, comman
     assert run_expect_usage_error([command, "--n", "2000", *extra, "--out", str(out)]) == 2
     lines = capsys.readouterr().err.rstrip("\n").splitlines()
     assert not any("Traceback" in line for line in lines)
-    assert lines[-1] == f"zmcnoid: error: {command}: degree 1999 exceeds supported cap 128"
+    assert lines[-1] == f"zmcnoid: error: {command}: order n=2000 is past 129, the largest supported order"
     assert not out.exists()
 
 
@@ -135,7 +135,7 @@ def test_mesh_checks_the_degree_before_the_domain_edge(tmp_path, capsys):
     assert run_expect_usage_error(argv) == 2
     lines = capsys.readouterr().err.rstrip("\n").splitlines()
     assert not any("Traceback" in line for line in lines)
-    assert lines[-1] == "zmcnoid: error: mesh: degree 99999 exceeds supported cap 128"
+    assert lines[-1] == "zmcnoid: error: mesh: order n=100000 is past 129, the largest supported order"
     assert not out.exists()
 
 
@@ -303,6 +303,12 @@ def test_verify_rejects_negative_seed(capsys):
     assert err.rstrip("\n").splitlines()[-1].startswith("zmcnoid: error: verify: ")
 
 
+def test_verify_rejects_a_tolerance_that_is_not_a_number(capsys):
+    assert run_expect_usage_error(["verify", "--tol", "weierstrass.null_form=tight"]) == 2
+    last = capsys.readouterr().err.rstrip("\n").splitlines()[-1]
+    assert last == "zmcnoid verify: error: argument --tol: tolerance value 'tight' is not a number"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_verify_rejects_non_finite_tolerance(capsys, value):
     argv = ["verify", "--n", "2", "--tol", f"weierstrass.lift_agreement={value}"]
@@ -351,6 +357,16 @@ def test_levels_rays_and_dedup(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 12 * 512
+
+
+def test_levels_takes_the_largest_order_off_height_zero(tmp_path, capsys):
+    out = str(tmp_path / "levels.csv")
+    assert run_cli(["levels", "--n", "129", "--h", "1", "--out", out]) == 0
+    assert "129 curves" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 129 * 512
+    assert np.isfinite(np.array([r[2:] for r in rows], dtype=float)).all()
 
 
 def test_levels_has_no_format_option(tmp_path, capsys):

@@ -101,13 +101,23 @@ def test_tessellate_rejects_a_grid_beyond_physical_memory(monkeypatch):
     assert peak <= 96 * 768 * mio._PEAK_BYTES_PER_VERTEX
 
 
+def test_physical_memory_is_none_where_the_platform_does_not_report_it(monkeypatch):
+    assert mio._physical_memory() > 0
+
+    def unsupported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unsupported)
+    assert mio._physical_memory() is None
+
+
 def test_tessellate_checks_the_degree_first():
     # the cap error comes from eval_extended_grid inside the pool, which
     # checks the degree before it forms any factor; omega_lower_bound reads
     # two spokes per column, so nothing before it grows with n
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="degree 99999 exceeds supported cap 128"):
+        with pytest.raises(ValueError, match="order n=100000 is past 129, the largest supported order"):
             mio.tessellate(100000, grid=(8, 768))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -359,6 +369,15 @@ def test_obj_roundtrip(small_mesh, tmp_path):
     # repr() floats parse back bit-exactly
     assert np.array_equal(verts, small_mesh.positions)
     assert np.array_equal(faces, small_mesh.faces)
+
+
+def test_read_obj_skips_blank_and_other_lines(tmp_path):
+    path = tmp_path / "hand.obj"
+    path.write_text("# by hand\n\nv 0 0 0\nv 1 0 0\n\nv 0 1 0\nvn 0 0 1\nf 1//1 2//1 3//1\n\n",
+                    encoding="ascii")
+    verts, faces = mio.read_obj(str(path))
+    assert verts.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert faces.tolist() == [[0, 1, 2]]
 
 
 def test_obj_causal_sidecar(small_mesh, tmp_path):

@@ -192,6 +192,15 @@ def test_loop_integral_imaginary_part_pinned():
     assert abs(loop[1].imag - 2.4183991523122903) < 1e-8
 
 
+def test_loop_integral_rejects_a_rule_that_has_not_converged(monkeypatch):
+    # for alpha the drift falls like 2^-N inside the allowed radius, so it
+    # never fires there; a kinked integrand converges only like N^-2
+    monkeypatch.setattr(ws, "alpha", lambda data, z: np.stack([np.abs(z.imag - 0.1)] * 3))
+    with pytest.raises(ValueError, match=r"^trapezoid refinement moved the loop integral "
+                                         r"by \S+; increase samples$"):
+        ws.loop_integral(ws.JorgeMeeksData(3), 0)
+
+
 def test_loop_integral_validation():
     data = ws.JorgeMeeksData(3)
     with pytest.raises(ValueError):
