@@ -729,11 +729,6 @@ def test_orders_past_the_sign_chains_are_rejected_at_entry(monkeypatch, n):
     assert an.embeddedness_scan(66, [0.0], samples=64).passed
 
 
-def test_rays_reach_the_largest_order():
-    # the ray speed evaluates T_n, so the h = 0 scan reaches MAX_ORDER itself
-    assert an.embeddedness_scan(129, [0.0], samples=256).passed
-
-
 def test_embeddedness_scan_rejects_bad_tolerance():
     for tol in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match=f"got {tol!r}"):

@@ -339,6 +339,8 @@ def test_order_entries_take_their_ceiling():
         curves = an.level_curve(n, h, 16)
         assert len(curves) == (2 * n if h == 0.0 else n)
         assert all(np.isfinite(c.points).all() for c in curves)
+    # the h = 0 scan's ray speed evaluates T_n itself
+    assert an.embeddedness_scan(n, [0.0], samples=256).passed
     assert np.isfinite(mio.tessellate(n, 3.0, 0.02, (8, 8)).positions).all()
     f_u, j01, j02 = an.surface_partials(cb.MAX_CERTIFIED_ORDER, 2.0, 0.5)
     assert np.isfinite(f_u).all() and j01 != 0.0 and j02 != 0.0
