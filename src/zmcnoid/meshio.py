@@ -48,7 +48,7 @@ _PEAK_BYTES_PER_VERTEX = 150
 
 
 def thread_cap() -> int:
-    """Worker limit for row-parallel tessellation: the CPUs this process may use.
+    """Worker limit for tessellation and the text writers: the CPUs this process may use.
 
     Where the platform reports CPU affinity, ``taskset`` or a cpuset caps it.
     """
@@ -246,9 +246,8 @@ def _shortest_digits(a: np.ndarray):
     is the 15-digit rounding with its zeros stripped (Gay 1990).  digits is
     it, padded to 17 digits.  The nearest double to 10^e counts as exponent
     e even when it lies below 10^e, and its digits are then 10^16.  A zero
-    gives digits 0 and exp -1.  Where slow is set, a is subnormal or a
-    residual is within _TIE of a decision other than an exact 16-digit
-    tie, and both are void.
+    gives digits 0 and exp -1.  Where slow is set, a is subnormal or an
+    inexact residual is within _TIE of a decision, and both are void.
     """
     mantissa, binexp = np.frexp(a)
     # floor(log10 2^(binexp - 1)) for |binexp| <= 1076, then one step up
@@ -278,20 +277,22 @@ def _shortest_digits(a: np.ndarray):
     # a 16-digit rounding down that misses it gives way to the one up
     half_up = np.ldexp(mh, binexp + shift - 54)
     half_down = np.where(mantissa == 0.5, 0.5 * half_up, half_up)
-    up16, up15 = (u16 > 5.0) | (u16 >= half_down), u15 > 50.0
-    # an exact 16-digit tie (r17 is exact where ml = 0) also goes up to an even
-    # last digit, as in repr; most blocks hold no candidate and skip the rest
-    tie16 = u16 == 5.0
-    if tie16.any():
-        tie16 &= (r17 == 0.0) & (ml == 0.0)
-        up16 |= tie16 & (q16 & 1 == 1)
+    # where ml = 0 and r17 = 0, a * 10^(16 - exp) is an integer and the
+    # residuals and half ulps are exact, so their ties are decided as in repr:
+    # a 16- or 15-digit candidate half an ulp away reads back iff the
+    # significand of a is even (binary round half to even), and an exact
+    # 16-digit tie goes to an even last digit
+    exact = (ml == 0.0) & (r17 == 0.0)
+    even = exact & (a.view(np.int64) & 1 == 0)
+    up16, up15 = (u16 > 5.0) | (u16 > half_down) | ((u16 == half_down) & ~even), u15 > 50.0
+    up16 |= exact & (u16 == 5.0) & (q16 & 1 == 1)
     v16, v15 = np.abs(u16 - 10.0 * up16), np.abs(u15 - 100.0 * up15)
     h16, h15 = np.where(up16, half_up, half_down), np.where(up15, half_up, half_down)
-    slow = ((binexp < -1021) | ((np.abs(v16 - 5.0) < _TIE) & ~tie16)
-            | (np.abs(u16 - half_down) < _TIE) | (np.abs(v16 - h16) < _TIE)
-            | (np.abs(v15 - h15) < _TIE))
-    digits = np.where(v16 < h16, (q16 + up16) * 10, d17)
-    digits = np.where(v15 < h15, (q15 + up15) * 100, digits)
+    near = ((np.abs(v16 - 5.0) < _TIE) | (np.abs(u16 - half_down) < _TIE)
+            | (np.abs(v16 - h16) < _TIE) | (np.abs(v15 - h15) < _TIE))
+    slow = (binexp < -1021) | (near & ~exact)
+    digits = np.where((v16 < h16) | ((v16 == h16) & even), (q16 + up16) * 10, d17)
+    digits = np.where((v15 < h15) | ((v15 == h15) & even), (q15 + up15) * 100, digits)
     return digits, row + _EXP_MIN, slow
 
 
@@ -376,10 +377,12 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
 
     Each "{}" takes the next column: floats print as their repr, ints as
     their str, bytes as they are.  A block of _WRITE_BLOCK rows is one
-    NUL-padded byte matrix, and one compress drops the padding.  A table of
-    two or more full blocks is formatted on a pool of thread_cap() threads,
-    at most one block per thread and one more ahead of the writes, which
-    stay in order; smaller tables, and one-CPU processes, format inline.
+    NUL-padded byte matrix, and one boolean mask drops the padding; a block
+    with no NUL byte, as of ints that all have one width, is written as it
+    is.  A table of two or more full blocks is formatted on a pool of
+    thread_cap() threads, at most one block per thread and one more ahead
+    of the writes, which stay in order; smaller tables, and one-CPU
+    processes, format inline.
     """
     literals = [np.frombuffer(part.encode("ascii"), np.uint8) for part in template.split("{}")]
 
@@ -391,7 +394,7 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
             row += [_FIELDS[block.dtype.kind](block),
                     np.broadcast_to(literal, (shape[0], len(literal)))]
         matrix = np.concatenate(row, axis=1)
-        return matrix[matrix != 0]
+        return matrix.ravel() if matrix.all() else matrix[matrix != 0]
 
     starts = range(0, len(columns[0]), _WRITE_BLOCK)
     workers = thread_cap()
@@ -561,6 +564,12 @@ def export_level_curves(curves, path: str) -> None:
     native (t, x, y) order and are remapped here.  Raises ValueError, before
     the file is opened, if any value is not finite.  The sort is stable and
     treats -0.0 and 0.0 as equal.
+
+    Rows of equal (h, copy_index) bits form a run, whose "h,copy_index,"
+    is formatted once.  The n rotated copies of a level arc share their
+    param and t bits, and the same-parity rays of h = 0 their params, so a
+    run's param or t segment is formatted only where no earlier run had the
+    same float64 bits (-0.0 and 0.0 differ); x and y go row by row.
     """
     tables = [np.empty((0, 6))]
     for curve in curves:
@@ -576,7 +585,23 @@ def export_level_curves(curves, path: str) -> None:
     if not np.isfinite(table[:, [0, 2, 3, 4, 5]]).all():
         raise ValueError("level curve samples must be finite")
     table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
+    bits = table[:, :2].view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)][:len(table)])
+    lengths = np.diff(np.r_[starts, len(table)])
+    # first[0 or 1, run]: where the run's param or t text starts in words
+    offsets, segments, size = {}, [np.empty(0)], 0
+    first = np.empty((2, len(starts)), dtype=np.int64)
+    for run, (a, length) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        for side, segment in enumerate((table[a:a + length, 2], table[a:a + length, 5])):
+            key = segment.tobytes()
+            if key not in offsets:
+                offsets[key], size = size, size + length
+                segments.append(segment)
+            first[side, run] = offsets[key]
+    words = np.ascontiguousarray(_float_field(np.concatenate(segments))).view(f"S{_FLOAT_WIDTH}")[:, 0]
+    param, t = words[np.repeat(first - starts, lengths, axis=1) + np.arange(len(table))]
+    prefixes = np.array([f"{h!r},{int(k)}," for h, k in table[starts, :2].tolist()], dtype=bytes)
     with _rewrite(path) as fh:
         fh.write(b"h,copy_index,param,x,y,t\r\n")
-        _write_rows(fh, "{},{},{},{},{},{}\r\n", table[:, 0], table[:, 1].astype(np.int64),
-                    *table[:, 2:].T)
+        _write_rows(fh, "{}{},{},{},{}\r\n", np.repeat(prefixes, lengths), param,
+                    table[:, 3], table[:, 4], t)

@@ -506,6 +506,9 @@ def test_obj_face_indices_do_not_wrap_in_narrow_dtypes(tmp_path):
     for dtype in (np.uint8, np.int16):
         mio.export_obj(dataclasses.replace(mesh, faces=faces.astype(dtype)), str(tmp_path / "narrow.obj"))
         assert open(tmp_path / "narrow.obj", "rb").read() == wide, dtype
+    # 1-based indices that all have three digits: the face block has no NUL byte
+    assert_obj_matches_oracle(dataclasses.replace(mesh, faces=np.int32([[99, 100, 255], [255, 127, 128]])),
+                              tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +694,15 @@ def test_floats_match_repr_at_exact_16_digit_ties_without_repr():
     # exact 17-digit decimals ending in 5: about a fifth of these draws from
     # [1e15, 1e16) and 0.8% of those from [1e-4, 1e15); repr keeps 17 digits
     # where neither 16-digit neighbour reads back and rounds half to even
-    # where both do, as for k + j/2^16 in [8, 10)
+    # where both do, as for k + j/2^16 in [8, 10).  Of the integers in
+    # [1e16, 1e17), 30% have a 16- or 15-digit candidate exactly half an ulp
+    # away, which reads back iff the significand is even
     rng = np.random.default_rng(0)
     wide = 10.0 ** rng.uniform(15.0, 16.0, 200_000)
     low = 10.0 ** rng.uniform(-4.0, 15.0, 10**6)
+    midpoints = 10.0 ** np.random.default_rng(0).uniform(16.0, 17.0, 200_000)
     dyadic = (np.arange(8.0, 10.0)[:, None] + (2 * np.arange(2000) + 1) / 2.0**16).ravel()
-    for values in (wide, low, dyadic):
+    for values in (wide, low, midpoints, dyadic):
         digits, _, slow = mio._shortest_digits(values)
         assert not slow.any(), values[slow][:5]
         assert_rows_match(values)
@@ -998,9 +1004,37 @@ def test_level_curves_match_per_row_oracle_on_ties(tmp_path):
         _curve(-0.0, 0, [0.5, 0.5], points[:2] + 0.1),
         _curve(0.0, 0, [0.5, 5e-324], points[4:] * 1e22),
         _curve(-1.0, 2, [1e16], points[:1]),
+        # same t bits, params that differ only in the sign of a zero
+        _curve(2.0, 0, [-0.0, 0.5], points[:2]),
+        _curve(2.0, 1, [0.0, 0.5], points[:2]),
     ]
     assert_levels_match_oracle(curves, tmp_path)
     assert_levels_match_oracle(curves[::-1], tmp_path)
+    rows = open(tmp_path / "new.csv", "rb").read().splitlines()
+    assert b"2.0,0,-0.0,1.0,2.0,0.0" in rows and b"2.0,1,0.0,1.0,2.0,0.0" in rows
+
+
+def test_level_curves_format_each_distinct_param_and_t_segment_once(tmp_path, monkeypatch):
+    # the 5 copies of each height share their params and t, the mirrored
+    # heights their params, and the 10 rays their params by parity: 3 param
+    # and 12 t segments, against 40 per row
+    curves = level_curve(5, 0.5, 64) + level_curve(5, -0.5, 64) + level_curve(5, 0.0, 64)
+    segments = {c.params.tobytes() for c in curves} | {c.points[:, 0].tobytes() for c in curves}
+    assert len(segments) == 15
+    formatter, formatted = mio._float_field, []
+
+    def counting(column):
+        formatted.append(len(column))
+        return formatter(column)
+
+    monkeypatch.setattr(mio, "_float_field", counting)
+    monkeypatch.setitem(mio._FIELDS, "f", counting)
+    mio.export_level_curves(curves, str(tmp_path / "levels.csv"))
+    rows = sum(len(c.params) for c in curves)
+    # x and y once per row, each distinct segment once, in one call
+    assert sorted(formatted) == sorted([rows, rows, 64 * len(segments)])
+    monkeypatch.undo()
+    assert_levels_match_oracle(curves, tmp_path)
 
 
 def test_level_curves_match_per_row_oracle_on_no_curves(tmp_path):
