@@ -1016,8 +1016,8 @@ def test_level_curves_match_per_row_oracle_on_ties(tmp_path):
 
 def test_level_curves_format_each_distinct_param_and_t_segment_once(tmp_path, monkeypatch):
     # the 5 copies of each height share their params and t, the mirrored
-    # heights their params, and the 10 rays their params by parity: 3 param
-    # and 12 t segments, against 40 per row
+    # heights their params, and the 10 rays their params by parity: of the
+    # 40 segments of the 20 curves, 3 params and 12 t are distinct
     curves = level_curve(5, 0.5, 64) + level_curve(5, -0.5, 64) + level_curve(5, 0.0, 64)
     segments = {c.params.tobytes() for c in curves} | {c.points[:, 0].tobytes() for c in curves}
     assert len(segments) == 15
