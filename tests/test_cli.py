@@ -213,9 +213,9 @@ def test_verify_stdout_byte_identical(capsys):
 # SHA-256 of `verify --seed S` stdout; any change to the draws or their
 # order moves these bytes
 VERIFY_DIGESTS = {
-    42: "9de5148400b9f50481cf5df2cc5b3666a1b901d2d9c45832efeba91e0d81f574",
-    0: "812ac0a3c09243c523f73eadbdc120ec6c7efca74e92730885330a588b429d24",
-    7: "8c5ca188dab58f96c63dddd7b313b78b10a0b0cf65c31c180bfb1b246615bc51",
+    42: "0264d637fd058079233bf4692b946bc442506104e993c94e477f4e192fb448dd",
+    0: "d0691eb4e500247485953d8f5373cdce551130f241f0fa4fc2449bcf14925160",
+    7: "f8a7600e64298c317df1a32eab5b23d802b72a183d7f6287f10477a1325b7df4",
 }
 
 

@@ -148,6 +148,33 @@ def test_perturbed_kernel_fails_every_derivative_record(monkeypatch, target):
     assert passed[ids[1]] == [target.startswith("f_u")] * 7
 
 
+def test_perturbed_weierstrass_data_fails_every_derivative_record(monkeypatch):
+    # the oracle side of derivative_agreement is alpha alone: an error of
+    # 1e-5 in one of its components must show at every order
+    exact = verify.alpha
+
+    def perturbed(data, z):
+        a = exact(data, z)
+        a[1] *= 1.0 + 1e-5
+        return a
+
+    monkeypatch.setattr(verify, "alpha", perturbed)
+    report = verify.run_checks(ids=["analysis.derivative_agreement"], seed=42)
+    assert [c.passed for c in report.checks] == [False] * 7
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+def test_weierstrass_partials_are_finite_at_the_fold(n, u):
+    # both sheets' forms are 0/0 at u = 1, which _sample_domain can draw
+    theta = np.array([0.3, 1.0, 1.7]) * math.pi / n
+    u = np.full_like(theta, u)
+    for oracle, closed in zip(verify._weierstrass_partials(n, u, theta),
+                              analysis.surface_partials(n, u, theta)):
+        assert np.all(np.isfinite(oracle))
+        assert np.all(np.abs(oracle - closed) <= 1e-6 * np.maximum(1.0, np.abs(closed)))
+
+
 def test_each_check_evaluates_the_surface_once_per_order(monkeypatch):
     # the checks stack the points they hold into one evaluator call; count
     # the calls of every check and order wherever the evaluator is imported
