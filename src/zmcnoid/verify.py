@@ -255,7 +255,7 @@ def _check_fold_symmetry(rng, n):
 
 def _check_period_condition(rng, n):
     data = JorgeMeeksData(n)
-    return {"punctures": n}, max(period_residual(data, j) for j in range(n))
+    return {"punctures": n}, float(np.max(period_residual(data, range(n))))
 
 
 def _check_denominator_positivity(rng, n):

@@ -112,38 +112,51 @@ def _check_finite(z) -> np.ndarray:
 
 
 def _check_punctures(data: JorgeMeeksData, z):
-    """(z, z^n - 1) as complex arrays; raises unless both are finite and |z^n - 1| > guard."""
+    """z as a complex array, then z, z^(n-2), z^(n-1) and z^n - 1 flattened.
+
+    Raises unless z^n - 1 is finite and |z^n - 1| > guard.  The powers come
+    from one binary-powering chain of complex multiplies on the flattened
+    points (numpy's 0-d complex arithmetic rounds unlike its array loops, and
+    its complex ``**`` goes through the C library's pow), so a point gets the
+    same bits alone or in any array.
+    """
     za = _check_finite(z)
+    zc = za.reshape(-1)
+    n = data.n
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        zn = za ** data.n - 1.0
+        zk, sq, m = None, zc, n - 2
+        while m:
+            if m & 1:
+                zk = sq if zk is None else zk * sq
+            m >>= 1
+            if m:
+                sq = sq * sq
+        g = zc if zk is None else zk * zc
+        zn = g * zc - 1.0
         near = np.abs(zn) <= PUNCTURE_GUARD
     bad = np.flatnonzero(~np.isfinite(zn))
     if bad.size:
-        raise ValueError(f"n={data.n}: z = {complex(za.flat[bad[0]])!r} has z^n - 1 beyond float64")
+        raise ValueError(f"n={n}: z = {complex(zc[bad[0]])!r} has z^n - 1 beyond float64")
     bad = np.flatnonzero(near)
     if bad.size:
-        raise PunctureError(data.n, complex(za.flat[bad[0]]), PUNCTURE_GUARD)
-    return za, zn
+        raise PunctureError(n, complex(zc[bad[0]]), PUNCTURE_GUARD)
+    return za, zc, np.ones_like(zc) if zk is None else zk, g, zn
 
 
 def alpha(data: JorgeMeeksData, z):
     """The three components of alpha at z (scalar or ndarray).
 
     Returns an array of shape (3,) + shape(z).  The triple is isotropic:
-    -a0^2 + a1^2 + a2^2 = 0 identically.
+    -a0^2 + a1^2 + a2^2 = 0 identically.  It is taken in the ratio form
+    q = 1/(z^n - 1), G = z^(n-1) q, alpha = (-2i G q, i (q^2 + G^2), G^2 - q^2),
+    which needs neither z^(2n-2) nor (z^n - 1)^2 and so stays finite wherever
+    z^n - 1 is.
     """
-    za, zn = _check_punctures(data, z)
-    n = data.n
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        w, den = za ** (2 * n - 2), zn ** 2
-    bad = np.flatnonzero(~(np.isfinite(w) & np.isfinite(den)))
-    if bad.size:
-        raise ValueError(f"n={n}: z = {complex(za.flat[bad[0]])!r} "
-                         "has z^(2n-2) or (z^n - 1)^2 beyond float64")
-    a0 = -2j * za ** (n - 1) / den
-    a1 = 1j * (1.0 + w) / den
-    a2 = -(1.0 - w) / den
-    return np.stack([a0, a1, a2])
+    za, _, _, g, zn = _check_punctures(data, z)
+    q = 1.0 / zn
+    G = g * q
+    qq, GG = q * q, G * G
+    return np.stack([-2j * G * q, 1j * (qq + GG), GG - qq]).reshape((3,) + za.shape)
 
 
 def lift_closed_form(data: JorgeMeeksData, z) -> HolomorphicLift:
@@ -154,10 +167,8 @@ def lift_closed_form(data: JorgeMeeksData, z) -> HolomorphicLift:
     of its shape; a point gets the same bits alone or in any array.  Use
     ``alpha`` + ``integrate_lift_numeric`` for independent values.
     """
-    za, zn = _check_punctures(data, z)
+    za, zc, zk, _, zn = _check_punctures(data, z)
     n = data.n
-    zc = za.reshape(-1)  # numpy's scalar complex arithmetic rounds unlike its array loops
-    zn = zn.reshape(-1)
     c = (n - 1) / n ** 2
     ang = 2.0 * math.pi * np.arange(n) / n
     # log(z - p) as (log|d|, arg d) float pairs, in a third of the time of
@@ -170,8 +181,8 @@ def lift_closed_form(data: JorgeMeeksData, z) -> HolomorphicLift:
     s2 = sum(w * row for w, row in zip(2.0 * c * np.cos(ang), parts)).view(complex)
 
     X0 = 2j / (n * zn)
-    X1 = -1j * zc * (zc ** (n - 2) + 1.0) / (n * zn) + s1
-    X2 = -zc * (zc ** (n - 2) - 1.0) / (n * zn) + s2
+    X1 = -1j * zc * (zk + 1.0) / (n * zn) + s1
+    X2 = -zc * (zk - 1.0) / (n * zn) + s2
     return HolomorphicLift(*(X.reshape(za.shape) if za.ndim else complex(X[0])
                              for X in (X0, X1, X2)))
 
@@ -220,19 +231,27 @@ def integrate_lift_numeric(data: JorgeMeeksData, z) -> HolomorphicLift:
 
 
 def loop_integral(
-    data: JorgeMeeksData, j: int, radius: float | None = None, samples: int = 512
+    data: JorgeMeeksData, j, radius: float | None = None, samples: int = 512
 ):
     """Loop integral of alpha around puncture zeta^j (positively oriented).
 
     Trapezoid rule on a circle of the given radius (default half the minimal
     puncture spacing); the node count is doubled once and the two values must
-    agree, which for this analytic periodic integrand certifies convergence.
+    agree for every puncture, which for this analytic periodic integrand
+    certifies convergence.  j is an index or a 1-D array of indices; all
+    their rings go through one ``alpha`` call, and each index gets the bits
+    it gets alone.
 
-    Returns the complex triple of loop integrals.
+    Returns the complex triple of loop integrals, shape (3,) + shape(j).
     """
     n = data.n
-    if not 0 <= j < n:
-        raise ValueError(f"puncture index {j} out of range for n={n}")
+    js = np.asarray(j)
+    if js.ndim > 1 or js.dtype.kind not in "iu":
+        raise ValueError("puncture index must be an integer or a 1-D integer array, "
+                         f"got dtype {js.dtype} and shape {js.shape}")
+    bad = js[(js < 0) | (js >= n)]
+    if bad.size:
+        raise ValueError(f"puncture index {bad[0]} out of range for n={n}")
     if radius is None:
         radius = 0.5 * math.sin(math.pi / n)
     if not 0.0 < radius < math.sin(math.pi / n):
@@ -244,21 +263,27 @@ def loop_integral(
         raise ValueError("need at least 64 trapezoid nodes")
     # the coarse rule's nodes are the fine ring's even nodes, bit for bit
     ring = np.exp(1j * np.linspace(0.0, 2 * math.pi, 2 * samples, endpoint=False))
-    vals = alpha(data, complex(data.punctures[j]) + radius * ring) * (1j * radius * ring)
+    centers = data.punctures[js][..., None]
+    vals = alpha(data, centers + radius * ring) * (1j * radius * ring)
     coarse = vals[..., ::2].mean(axis=-1) * 2 * math.pi
     fine = vals.mean(axis=-1) * 2 * math.pi
-    drift = np.max(np.abs(fine - coarse))
-    if drift > 1e-10 * (1.0 + np.max(np.abs(fine))):
+    drift = np.max(np.abs(fine - coarse), axis=0)
+    unconverged = np.flatnonzero(drift > 1e-10 * (1.0 + np.max(np.abs(fine), axis=0)))
+    if unconverged.size:
         raise ValueError(
-            f"trapezoid refinement moved the loop integral by {drift:.3g}; "
+            f"trapezoid refinement moved the loop integral by {drift.flat[unconverged[0]]:.3g}; "
             "increase samples"
         )
     return fine
 
 
-def period_residual(data: JorgeMeeksData, j: int) -> float:
-    """Max over components of |Re loop integral| about puncture j."""
-    return float(np.max(np.abs(loop_integral(data, j).real)))
+def period_residual(data: JorgeMeeksData, j):
+    """Max over components of |Re loop integral| about puncture j.
+
+    A float for an index, an array of shape(j) for a 1-D array of indices.
+    """
+    res = np.max(np.abs(loop_integral(data, j).real), axis=0)
+    return float(res) if res.ndim == 0 else res
 
 
 def f_polar(data: JorgeMeeksData, r, theta):

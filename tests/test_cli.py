@@ -213,9 +213,9 @@ def test_verify_stdout_byte_identical(capsys):
 # SHA-256 of `verify --seed S` stdout; any change to the draws or their
 # order moves these bytes
 VERIFY_DIGESTS = {
-    42: "0264d637fd058079233bf4692b946bc442506104e993c94e477f4e192fb448dd",
-    0: "d0691eb4e500247485953d8f5373cdce551130f241f0fa4fc2449bcf14925160",
-    7: "f8a7600e64298c317df1a32eab5b23d802b72a183d7f6287f10477a1325b7df4",
+    42: "24d1fad194f79e4ebc2c6688f167f84e793b901f62595de6f7021f0cd4c41577",
+    0: "0835185710ed616f53c5e3545fc879902f1c9e75d2c343aee74e06751881dc31",
+    7: "728077a8a32b37d56c077b7be30f787a2470e5e56d6041c0c1c657c20dde31f7",
 }
 
 

@@ -201,6 +201,43 @@ def test_loop_integral_rejects_a_rule_that_has_not_converged(monkeypatch):
         ws.loop_integral(ws.JorgeMeeksData(3), 0)
 
 
+def test_batched_loop_integral_keeps_the_guard_for_each_puncture(monkeypatch):
+    # only puncture 0's ring crosses the kink at Im z = 0.1
+    monkeypatch.setattr(ws, "alpha", lambda data, z: np.stack([np.abs(z.imag - 0.1)] * 3))
+    data = ws.JorgeMeeksData(3)
+    ws.loop_integral(data, np.array([1, 2]))
+    for js in (np.arange(3), np.array([1, 2, 0])):
+        with pytest.raises(ValueError, match=r"^trapezoid refinement moved the loop integral "
+                                             r"by \S+; increase samples$"):
+            ws.loop_integral(data, js)
+
+
+def test_batched_loops_give_the_bits_of_single_calls():
+    rng = np.random.default_rng(208)
+    for n in range(2, 9):
+        data = ws.JorgeMeeksData(n)
+        loops = ws.loop_integral(data, np.arange(n))
+        residuals = ws.period_residual(data, np.arange(n))
+        assert loops.shape == (3, n) and residuals.shape == (n,)
+        for j in range(n):
+            assert np.array_equal(loops[:, j], ws.loop_integral(data, j)), (n, j)
+            assert residuals[j] == ws.period_residual(data, j), (n, j)
+        # the rings rely on alpha giving a point the same bits alone or in an array
+        z = np.concatenate([sample_off_puncture(rng, n, 10), 1.0 / sample_off_puncture(rng, n, 10)])
+        a = ws.alpha(data, z.reshape(4, 5)).reshape(3, -1)
+        for k in range(len(z)):
+            assert a[:, k].tolist() == ws.alpha(data, complex(z[k])).tolist(), (n, k)
+
+
+def test_loop_integral_rejects_bad_index_arrays():
+    data = ws.JorgeMeeksData(3)
+    with pytest.raises(ValueError, match=r"^puncture index 3 out of range for n=3$"):
+        ws.loop_integral(data, np.array([0, 3]))
+    for js in (np.array([0.0, 1.0]), np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            ws.loop_integral(data, js)
+
+
 def test_loop_integral_validation():
     data = ws.JorgeMeeksData(3)
     with pytest.raises(ValueError):
@@ -325,6 +362,58 @@ def test_polar_matches_mpmath_around_the_punctures_on_the_fold():
         assert worst < 1e-9, (n, worst)
 
 
+def test_alpha_matches_mpmath_in_both_annuli():
+    # alpha's definition at 50 digits, relative to the largest component, at
+    # the float inputs; inside and outside the unit circle with |z^n - 1| > 1e-2
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+
+    def error(n, z, got):
+        w = mp.mpc(z.real, z.imag)
+        den, g = (w ** n - 1) ** 2, w ** (n - 1)
+        want = (-2j * g / den, 1j * (1 + g * g) / den, -(1 - g * g) / den)
+        err = max(abs(mp.mpc(a) - b) for a, b in zip(got, want)) / max(abs(b) for b in want)
+        return float(err), float(abs(w ** n - 1))
+
+    rng = np.random.default_rng(209)
+    for n in (2, 3, 5, 8):
+        data = ws.JorgeMeeksData(n)
+        inner = sample_off_puncture(rng, n, 300)
+        for z in (inner, 1.0 / inner):
+            worst = max(error(n, x, a)[0] for x, a in zip(z, ws.alpha(data, z).T))
+            assert worst < 2e-15, (n, worst)
+        # near a puncture the rounding of z^n - 1 itself dominates, so the
+        # error grows like 1/|z^n - 1|
+        d = 10.0 ** rng.uniform(-11.0, -2.0, 50) * np.exp(2j * math.pi * rng.random(50)) / n
+        z = data.punctures[rng.integers(0, n, 50)] * (1.0 + d)
+        worst = max(err * gap for err, gap in (error(n, x, a) for x, a in zip(z, ws.alpha(data, z).T)))
+        assert worst < 4e-15, (n, worst)
+
+
+def test_alpha_far_out_matches_mpmath_without_warnings():
+    # at n = 3 the components are about 1/z^2 and 2/z^4; alpha stays finite
+    # until z^n - 1 itself leaves float64
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    data = ws.JorgeMeeksData(3)
+    tiny = np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e51, 1e60, 1e75, 1e100):
+            for z in (complex(r), r * complex(math.cos(0.3), math.sin(0.3))):
+                w = mp.mpc(z.real, z.imag)
+                den = (w ** 3 - 1) ** 2
+                want = (-2j * w ** 2 / den, 1j * (1 + w ** 4) / den, -(1 - w ** 4) / den)
+                for a, b in zip(ws.alpha(data, z), want):
+                    assert np.isfinite(a), (z, a)
+                    if abs(b) >= tiny:
+                        assert abs(mp.mpc(a) - b) <= 1e-14 * abs(b), (z, a, b)
+                    else:  # underflows, like a0 at 1e100
+                        assert abs(a) < tiny, (z, a, b)
+        with pytest.raises(ValueError, match=r"^n=3: z = \(1e\+120\+0j\) has z\^n - 1 beyond float64$"):
+            ws.alpha(data, 1e120)
+
+
 def test_alpha_rejects_non_finite_points():
     data = ws.JorgeMeeksData(3)
     for z in (math.nan, complex(0.2, math.inf)):
@@ -360,18 +449,17 @@ def test_overflowing_powers_are_rejected_before_any_warning():
             ws.lift_closed_form(data, 1e120)
         with pytest.raises(ValueError, match=r"z = \(1e\+120\+0j\)"):
             ws.alpha(data, np.array([0.5, 1e120]))
-        # alpha also squares z^n - 1 and raises z to 2n - 2
+        # alpha needs only z^(n-1) and z^n - 1, so it is finite wherever z^n - 1 is
         for z in (1e100, 1e60):
-            with pytest.raises(ValueError, match=r"^n=3: z = \(1e\+\d+\+0j\) has z\^\(2n-2\) or "
-                                                 r"\(z\^n - 1\)\^2 beyond float64$"):
-                ws.alpha(data, np.array([0.5, z]))
+            assert np.all(np.isfinite(ws.alpha(data, np.array([0.5, z]))))
         z = np.array([0.5 + 0.2j, 1e50])
-        den = (z ** 3 - 1.0) ** 2
+        q = 1.0 / (z * z * z - 1.0)
+        G = z * z * q
         assert np.array_equal(ws.alpha(data, z), np.stack(
-            [-2j * z ** 2 / den, 1j * (1.0 + z ** 4) / den, -(1.0 - z ** 4) / den]))
-        # still finite here, with unchanged bits
+            [-2j * G * q, 1j * (q * q + G * G), G * G - q * q]))
+        # still finite here, with pinned bits
         assert ws.f_polar(data, 1e60, 0.3) == ws.LorentzVec3(
-            5.222179397516555e-181, 2.842170943040401e-14, -1.4210854715202004e-14)
+            5.222179397516556e-181, 2.842170943040401e-14, -1.4210854715202004e-14)
 
 
 def test_quadrature_rejects_non_finite_points_before_the_path():
