@@ -1,11 +1,12 @@
 """Verification toolkit for the extended surface family.
 
 One closed-form kernel for the u-partials and Jacobian minors
-(``surface_partials``), immersion certification, contour solving for the
-height function, level-curve assembly, monotonicity and sector certificates
-for every height of an order at once (that kernel's slopes on a fixed wedge
-grid and a pinwheel lemma), polyline embeddedness scans, boundary-approach
-divergence probes, and a finite-difference zero-mean-curvature residual.
+(``surface_partials``), contour solving for the height function,
+level-curve assembly, monotonicity and sector certificates for every height
+of an order at once (that kernel's slopes on a fixed wedge grid and a
+pinwheel lemma), polyline embeddedness scans, boundary-approach divergence
+probes, and a finite-difference zero-mean-curvature residual.  Immersion is
+the Jacobian sum identity that ``verify`` checks.
 
 Everything here consumes the domain check and the surface evaluator from
 ``extension`` and the Chebyshev kernels and factored denominator from
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chebyshev import (MAX_CERTIFIED_ORDER, MAX_ORDER, check_order, eval_T, eval_U,
-                        factor_product, invert_T, psi)
+                        factor_product, invert_T)
 from .extension import (
     domain_factors,
     eval_extended_grid,
@@ -88,60 +89,6 @@ def surface_partials(n: int, u, theta):
 
 
 # ---------------------------------------------------------------------------
-# immersion certificate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular (u, theta) grid description."""
-
-    u_min: float
-    u_max: float
-    u_count: int
-    theta_min: float = 0.0
-    theta_max: float = 2.0 * math.pi
-    theta_count: int = 128
-
-    def nodes(self):
-        u = np.linspace(self.u_min, self.u_max, self.u_count)
-        t = np.linspace(self.theta_min, self.theta_max, self.theta_count)
-        return np.meshgrid(u, t, indexing="ij")
-
-
-@dataclass(frozen=True)
-class ImmersionReport:
-    n: int
-    u_count: int
-    theta_count: int
-    min_certified_bound: float
-    min_observed: float
-    passed: bool
-
-
-def immersion_certificate(n: int, grid_spec: GridSpec) -> ImmersionReport:
-    """Positive lower bound for max(|J01|, |J02|) over a grid.
-
-    The two cross-plane Jacobians cannot vanish together: their max is at
-    least U_{n-2}(u) / (sqrt(2) Psi^2), which stays positive right of the
-    branch point of U_{n-2}.  The report carries the grid minimum of both
-    the analytic bound and the observed max.
-    """
-    uu, tt = grid_spec.nodes()
-    _, j01, j02 = surface_partials(n, uu, tt)
-    bound = eval_U(n - 2, uu) / (math.sqrt(2.0) * psi(n, uu, tt) ** 2)
-    observed = np.maximum(np.abs(j01), np.abs(j02))
-    ok = bool(np.all(bound > 0.0) and np.all(observed >= bound * (1.0 - 1e-9)))
-    return ImmersionReport(
-        n=n,
-        u_count=grid_spec.u_count,
-        theta_count=grid_spec.theta_count,
-        min_certified_bound=float(bound.min()),
-        min_observed=float(observed.min()),
-        passed=ok,
-    )
-
-
-# ---------------------------------------------------------------------------
 # contour lines of the height coordinate
 # ---------------------------------------------------------------------------
 
@@ -156,21 +103,17 @@ def contour_u(n: int, h: float, theta):
     if h <= 0.0:
         raise ValueError("contour_u needs h > 0; use mirror symmetry for h < 0")
     ta = np.asarray(theta, dtype=float)
-    if np.any((ta <= 0.0) | (ta >= math.pi / n)):
+    if np.any(~((ta > 0.0) & (ta < math.pi / n))):
         raise ValueError("theta must lie strictly inside (0, pi/n)")
     if not math.isfinite(1.0 / (n * h)):
         raise ValueError(f"height {h!r} is too small: 1/(nh) overflows")
     return invert_T(n, np.cos(n * ta) + np.sin(n * ta) / (n * h))
 
 
-def _fundamental_arc_thetas(n: int, m: int, tip_frac: float = 0.0):
-    # cosine clustering: the contour has infinite slope at both endpoints.
-    # tip_frac > 0 floors the grid away from theta = 0, where evaluation noise
-    # grows like 1/theta at large h; curve_monotonicity_report's sampled
-    # fields use it, and its verdict covers the whole open arc
-    i = np.arange(m)
-    start = tip_frac * (math.pi / n)
-    return start + (math.pi / n - start) * 0.5 * (1.0 - np.cos(math.pi * (i + 0.5) / m))
+def _fundamental_arc_thetas(n: int, m: int):
+    # cosine clustering over the open arc (0, pi/n): the contour has infinite
+    # slope at both endpoints
+    return math.pi / n * 0.5 * (1.0 - np.cos(math.pi * (np.arange(m) + 0.5) / m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +142,8 @@ def level_curve(n: int, h: float, samples: int, u_max: float = 10.0):
     up to u_max, geometrically clustered toward the divergent end.
     """
     check_order(n, 2)
-    if samples < 16:
-        raise ValueError("need at least 16 samples per curve")
+    if not isinstance(samples, (int, np.integer)) or samples < 16:
+        raise ValueError(f"samples must be an integer >= 16 per curve, got {samples!r}")
     if not math.isfinite(h):
         raise ValueError(f"height must be finite, got {h}")
     if not math.isfinite(u_max):
@@ -256,65 +199,6 @@ def _slice_facts(n: int):
     return positive and bool(np.all(gaps < 1e-12)), float(gaps[0]), float(gaps[1])
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    n: int
-    h: float
-    grid_size: int
-    x1_strictly_decreasing: bool
-    x1_below_minus_h: bool
-    x2_unimodal: bool
-    x2_argmax_theta: float
-    x2_argmax_expected: float
-    x2_argmax_cell_offset: int
-    derivative_max_error_x1: float
-    derivative_max_error_x2: float
-    passed: bool
-
-
-def curve_monotonicity_report(n: int, h: float) -> MonotonicityReport:
-    """Monotone x1 / unimodal x2 structure of the fundamental arc.
-
-    Along x0 = h the slopes J0k / (dx0/du) reduce pointwise to
-
-        dx1/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta) / sin(n theta)
-        dx2/dtheta = +(U_{n-2} / U_{n-1}) cos((n-1) theta) / sin(n theta).
-
-    Each arc with h > 0 lies in the wedge 0 < theta < pi/n, u > cos(theta)
-    (T_n(u) - cos(n theta) = sin(n theta)/(nh) > 0), where U_{n-2}, U_{n-1}
-    (largest zeros cos(pi/(n-1)), cos(pi/n)), sin((n-1) theta) and sin(n
-    theta) are positive.  So x1 falls from its exact tip limit -h (the
-    rational part tends to -h, the log sum cancels under j <-> n - j) and x2
-    turns once, at pi/(2(n-1)), for every h at once.  It passes when, on 32
-    angles x 32 gaps of that wedge, both sheets, the factors are positive and
-    the kernel slopes match the reduced ratios to 1e-12 relative
-    (derivative_max_error_*).  The other fields sample the arc at grid_size =
-    1000 angles, floored at 1e-4 of the wedge; at large h they see rounding.
-    """
-    passed, err1, err2 = _slice_facts(n)
-    grid_size = 1000
-    thetas = _fundamental_arc_thetas(n, grid_size, tip_frac=1e-4)
-    xs, ys = eval_extended_grid(n, contour_u(n, h, thetas), thetas)[:, 1:].T
-    decreasing = bool(np.all(np.diff(xs) < 0.0))
-    below = bool(np.all(xs < -h))
-    imax = int(np.argmax(ys))
-    unimodal = bool(np.all(np.diff(ys)[:imax] > 0.0) and np.all(np.diff(ys)[imax:] < 0.0))
-    expected = math.pi / (2.0 * (n - 1))
-    iexp = int(np.argmin(np.abs(thetas - expected)))
-    return MonotonicityReport(
-        n=n, h=h, grid_size=grid_size,
-        x1_strictly_decreasing=decreasing,
-        x1_below_minus_h=below,
-        x2_unimodal=unimodal,
-        x2_argmax_theta=float(thetas[imax]),
-        x2_argmax_expected=expected,
-        x2_argmax_cell_offset=abs(imax - iexp),
-        derivative_max_error_x1=err1,
-        derivative_max_error_x2=err2,
-        passed=passed,
-    )
-
-
 def upsilon(n: int, u):
     """The h-derivative of Phi, (1 + U_{2n-2} + 2 U_{n-1}) / (2 U_{n-1}).
 
@@ -345,8 +229,11 @@ def region_Dh_certificate(n: int, h: float) -> RegionReport:
     """Containment of the fundamental arc in its sector, and of no other copy.
 
     D_h = {x < -h, phi_h > 0}, phi_h = x cos(2 pi/n) - y sin(2 pi/n) + h.  The
-    arc is a graph with x1 < -h (``curve_monotonicity_report``), and on the
-    same wedge dphi_h/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta + 2 pi/n)
+    arc is a graph with x1 < -h: on the wedge of the arc ``_slice_facts``
+    holds dx1/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta) / sin(n theta)
+    < 0, and x1 tends to -h exactly at the tip theta -> 0 (the rational part
+    tends to -h, the log sum cancels under j <-> n - j).  On the same wedge
+    dphi_h/dtheta = -(U_{n-2} / U_{n-1}) sin((n-1) theta + 2 pi/n)
     / sin(n theta) turns from - to + only at theta0 = (n-2) pi / ((n-1) n),
     where (n-1) theta0 + 2 pi/n = pi.  So phi_at_theta0 = Phi(h) > 0, the one
     contour point at h, settles phi_h > 0.  Phi rises from 0 at the rate
@@ -559,50 +446,6 @@ def properness_probe(n: int, theta_target: float, approach_samples: int) -> Prop
         log_slope_expected=expected,
         passed=crossed and monotone,
     )
-
-
-# ---------------------------------------------------------------------------
-# endpoint extrapolation
-# ---------------------------------------------------------------------------
-
-def neville_to_zero(xs, ys) -> float:
-    """Polynomial extrapolation of samples (xs, ys) to x = 0."""
-    x = np.asarray(xs, dtype=float)
-    tab = np.asarray(ys, dtype=float).copy()
-    m = len(x)
-    for level in range(1, m):
-        for i in range(m - level):
-            tab[i] = (x[i + level] * tab[i] - x[i] * tab[i + 1]) / (
-                x[i + level] - x[i]
-            )
-    return float(tab[0])
-
-
-@dataclass(frozen=True)
-class ContourEndpoints:
-    u_at_zero: float
-    u_at_wedge: float
-    x1_at_zero: float
-
-
-def contour_endpoint_limits(n: int, h: float) -> ContourEndpoints:
-    """Extrapolated contour boundary values: u -> 1, u -> cos(pi/n), x1 -> -h.
-
-    The theta -> 0 end is smooth, so plain Neville on a dyadic theta
-    sequence of 8 levels converges fast; the theta -> pi/n end behaves like a
-    square root, so the extrapolation variable there is sqrt(pi/n - theta).
-    Shrinking theta much below pi/n * 1e-2 buys nothing: cancellation noise
-    in x1 grows like h^2 n^2 eps / theta and floors the achievable error.
-    """
-    check_order(n, 2)
-    wedge = math.pi / n
-    th = wedge * 1e-2 * 2.0 ** (-np.arange(8))
-    u = contour_u(n, h, th)
-    u0 = neville_to_zero(th, u)
-    x1_0 = neville_to_zero(th, eval_extended_grid(n, u, th)[:, 1])
-    deltas = wedge * 1e-2 * 4.0 ** (-np.arange(8))
-    u1 = neville_to_zero(np.sqrt(deltas), contour_u(n, h, wedge - deltas))
-    return ContourEndpoints(u_at_zero=u0, u_at_wedge=u1, x1_at_zero=x1_0)
 
 
 # ---------------------------------------------------------------------------

@@ -151,20 +151,14 @@ def test_mean_curvature_vanishes_on_grids():
     assert time.perf_counter() - start < 60.0
 
 
-def test_immersion_certificates_and_jacobians():
+def test_immersion_certificates_and_jacobians(immersed_on_grid):
     rng = np.random.default_rng(9008)
     for n in range(2, 9):
-        rep = an.immersion_certificate(
-            n, an.GridSpec(u_min=1.02, u_max=4.0, u_count=120, theta_count=180)
-        )
-        assert rep.passed and rep.min_certified_bound > 0.0, n
+        assert immersed_on_grid(n, (1.02, 4.0, 120), (0.0, 2.0 * math.pi, 180)), n
         # narrow column through the timelike strip, crossing the fold
         w = 0.1 / n
         tc = math.pi / n
-        col = an.GridSpec(u_min=math.cos(tc - w) + 0.005, u_max=1.2, u_count=60,
-                          theta_min=tc - w, theta_max=tc + w, theta_count=16)
-        rep = an.immersion_certificate(n, col)
-        assert rep.passed and rep.min_certified_bound > 0.0, n
+        assert immersed_on_grid(n, (math.cos(tc - w) + 0.005, 1.2, 60), (tc - w, tc + w, 16)), n
         u = rng.uniform(1.1, 3.0, 50)
         th = rng.uniform(0.0, 2.0 * math.pi, 50)
         s = 1e-5
@@ -179,7 +173,7 @@ def test_immersion_certificates_and_jacobians():
         assert np.max(gap / np.hypot(det01, det02)) < 1e-6, n
 
 
-def test_height_contour_roundtrip_and_limits():
+def test_height_contour_roundtrip_and_limits(contour_limits):
     for n in range(2, 9):
         wedge = math.pi / n
         th = np.linspace(0.02 * wedge, 0.98 * wedge, 300)
@@ -187,14 +181,13 @@ def test_height_contour_roundtrip_and_limits():
             u = an.contour_u(n, h, th)
             t = ext.eval_extended_grid(n, u, th)[:, 0]
             assert np.max(np.abs(t - h)) < 1e-10, (n, h)
-            ep = an.contour_endpoint_limits(n, h)
-            assert abs(ep.u_at_zero - 1.0) < 1e-6, (n, h)
-            assert abs(ep.u_at_wedge - math.cos(wedge)) < 1e-6, (n, h)
-            assert abs(ep.x1_at_zero + h) < 1e-6, (n, h)
+            u_at_zero, u_at_wedge, x1_at_zero = contour_limits(n, h)
+            assert abs(u_at_zero - 1.0) < 1e-6, (n, h)
+            assert abs(u_at_wedge - math.cos(wedge)) < 1e-6, (n, h)
+            assert abs(x1_at_zero + h) < 1e-6, (n, h)
+    # x1 falls and x2 turns once, at pi/(2(n-1)), for every height of an order
     for n, h in ((3, 0.5), (6, 0.01), (4, 1.0)):
-        rep = an.curve_monotonicity_report(n, h)
-        assert rep.passed
-        assert rep.x2_argmax_cell_offset <= 2
+        assert an.region_Dh_certificate(n, h).passed
 
 
 def test_level_slices_are_embedded():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import types
 
 import numpy as np
@@ -135,30 +136,17 @@ def test_jacobian_sum_identity():
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-10
 
 
-def test_immersion_certificate_spacelike_grid():
-    rep = an.immersion_certificate(
-        3, an.GridSpec(u_min=1.01, u_max=5.0, u_count=200, theta_count=200)
-    )
-    assert rep.passed
-    assert rep.min_certified_bound > 0.0
-    assert rep.min_observed >= rep.min_certified_bound * (1.0 - 1e-9)
+def test_immersion_certificate_spacelike_grid(immersed_on_grid):
+    assert immersed_on_grid(3, (1.01, 5.0, 200), (0.0, 2.0 * math.pi, 200))
 
 
-def test_immersion_certificate_n2_bound_is_constant_numerator():
-    rep = an.immersion_certificate(
-        2, an.GridSpec(u_min=1.05, u_max=3.0, u_count=40, theta_count=40)
-    )
-    assert rep.passed
-    assert rep.min_certified_bound > 0.0
+def test_immersion_certificate_n2_bound_is_constant_numerator(immersed_on_grid):
+    assert immersed_on_grid(2, (1.05, 3.0, 40), (0.0, 2.0 * math.pi, 40))
 
 
-def test_immersion_certificate_across_fold():
+def test_immersion_certificate_across_fold(immersed_on_grid):
     # narrow column through the timelike strip at the n=8 wedge center
-    spec = an.GridSpec(u_min=0.93, u_max=1.2, u_count=60,
-                       theta_min=0.38, theta_max=0.405, theta_count=16)
-    rep = an.immersion_certificate(8, spec)
-    assert rep.passed
-    assert rep.min_certified_bound > 0.0
+    assert immersed_on_grid(8, (0.93, 1.2, 60), (0.38, 0.405, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +190,22 @@ def test_contour_validation():
         an.contour_u(3, 0.0, 0.3)
 
 
+@pytest.mark.parametrize("theta", [math.nan, np.array([0.3, math.nan])])
+def test_contour_rejects_a_nan_angle(theta):
+    # a NaN angle compares False both ways, so a check written as
+    # "theta <= 0 or theta >= pi/n" let it through as a NaN u
+    with pytest.raises(ValueError, match=r"^theta must lie strictly inside \(0, pi/n\)$"):
+        an.contour_u(3, 1.0, theta)
+
+
 @pytest.mark.parametrize("h", [math.nan, math.inf])
 def test_contour_rejects_a_non_finite_height_first(h):
     # nan was once called too small, and inf gave cos(theta), a point on the
     # domain edge that the certificates then rejected as out of the domain
     with pytest.raises(ValueError, match=f"^contour_u needs a finite height, got {h!r}$"):
         an.contour_u(3, h, 0.1)
-    for certificate in (an.curve_monotonicity_report, an.region_Dh_certificate):
-        with pytest.raises(ValueError, match="^contour_u needs a finite height"):
-            certificate(3, h)
+    with pytest.raises(ValueError, match="^contour_u needs a finite height"):
+        an.region_Dh_certificate(3, h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,18 +221,12 @@ def test_contour_roundtrip_property(n, h, frac):
     assert abs(v[0] - h) < 1e-10
 
 
-def test_contour_endpoint_extrapolation():
+def test_contour_endpoint_extrapolation(contour_limits):
     for n, h in ((3, 0.5), (5, 10.0), (8, 0.01)):
-        ep = an.contour_endpoint_limits(n, h)
-        assert abs(ep.u_at_zero - 1.0) < 1e-6, (n, h)
-        assert abs(ep.u_at_wedge - math.cos(math.pi / n)) < 1e-6, (n, h)
-        assert abs(ep.x1_at_zero - (-h)) < 1e-6, (n, h)
-
-
-def test_neville_exact_on_polynomial():
-    xs = np.array([0.4, 0.2, 0.1, 0.05])
-    ys = 3.0 - 2.0 * xs + xs ** 2
-    assert abs(an.neville_to_zero(xs, ys) - 3.0) < 1e-12
+        u_at_zero, u_at_wedge, x1_at_zero = contour_limits(n, h)
+        assert abs(u_at_zero - 1.0) < 1e-6, (n, h)
+        assert abs(u_at_wedge - math.cos(math.pi / n)) < 1e-6, (n, h)
+        assert abs(x1_at_zero - (-h)) < 1e-6, (n, h)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +285,30 @@ def _in_sector(x, y, h, n):
 
 
 def _sampled_sector(n, h, samples=2000):
-    # sampled corroboration of region_Dh_certificate on a floored arc: is
-    # the arc inside D_h, the least phi_h, how many cells its argmin lies
-    # from theta0, and do the n - 1 copies by an iterated R miss D_h
-    thetas = an._fundamental_arc_thetas(n, samples, tip_frac=1e-4)
+    # sampled corroboration of the slice facts and region_Dh_certificate on
+    # an arc floored at 1e-4 of the wedge: is the arc inside D_h, the least
+    # phi_h, how many cells its argmin lies from theta0, do the n - 1 copies
+    # by an iterated R miss D_h, does x1 fall and stay below -h, is x2
+    # unimodal, and how many cells its argmax lies from pi/(2(n-1))
+    start = 1e-4 * (math.pi / n)
+    cosines = np.cos(math.pi * (np.arange(samples) + 0.5) / samples)
+    thetas = start + (math.pi / n - start) * 0.5 * (1.0 - cosines)
     pts = ext.eval_extended_grid(n, an.contour_u(n, h, thetas), thetas)
     x, y = pts[:, 1], pts[:, 2]
     phi = x * math.cos(2.0 * math.pi / n) - y * math.sin(2.0 * math.pi / n) + h
-    theta0 = (n - 2) * math.pi / ((n - 1) * n)
-    offset = abs(int(np.argmin(phi)) - int(np.argmin(np.abs(thetas - theta0))))
+    # the samples nearest theta0 and the turn of x2
+    near = np.argmin(np.abs(thetas[:, None] - [(n - 2) * math.pi / ((n - 1) * n),
+                                               math.pi / (2.0 * (n - 1))]), axis=0)
+    offset = abs(int(np.argmin(phi)) - int(near[0]))
     rot, copy, outside = ext.rotation_matrix(n), pts, True
     for _ in range(1, n):
         copy = copy @ rot.T
         outside &= not np.any(_in_sector(copy[:, 1], copy[:, 2], h, n))
-    return bool(np.all(_in_sector(x, y, h, n))), float(phi.min()), offset, outside
+    top, dy = int(np.argmax(y)), np.diff(y)
+    return (bool(np.all(_in_sector(x, y, h, n))), float(phi.min()), offset, outside,
+            bool(np.all(np.diff(x) < 0.0) and np.all(x < -h)),
+            bool(np.all(dy[:top] > 0.0) and np.all(dy[top:] < 0.0)),
+            abs(top - int(near[1])))
 
 
 @pytest.mark.parametrize("n", range(3, 18))
@@ -466,12 +465,11 @@ def test_ray_scan_catches_a_ray_off_its_line(monkeypatch, column):
     assert rec.ray_speed_positive and rec.cross_intersections == 0
 
 
-def test_level_curve_tip_approaches_minus_h():
+def test_level_curve_tip_approaches_minus_h(contour_limits):
     curves = an.level_curve(4, 0.5, 512)
     first = curves[0]
     assert abs(first.points[0, 1] + 0.5) < 1e-2
-    ep = an.contour_endpoint_limits(4, 0.5)
-    assert abs(ep.x1_at_zero + 0.5) < 1e-6
+    assert abs(contour_limits(4, 0.5)[2] + 0.5) < 1e-6
 
 
 def test_level_curve_samples_property():
@@ -491,24 +489,29 @@ def test_level_curve_validation():
         an.level_curve(1, 1.0, 64)
 
 
+@pytest.mark.parametrize("samples", [16.5, 64.0, 8])
+def test_level_curve_names_a_bad_sample_count(samples):
+    # 16.5 once got "theta must lie strictly inside (0, pi/n)"; the scan passes samples on
+    message = rf"^samples must be an integer >= 16 per curve, got {re.escape(repr(samples))}$"
+    for curves in (lambda: an.level_curve(3, 1.0, samples),
+                   lambda: an.embeddedness_scan(3, [1.0], samples=samples)):
+        with pytest.raises(ValueError, match=message):
+            curves()
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and sector certificates
 # ---------------------------------------------------------------------------
 
 def test_monotonicity_small_h():
-    rep = an.curve_monotonicity_report(6, 0.01)
-    assert rep.x1_strictly_decreasing
-    assert rep.x1_below_minus_h
-    assert rep.passed
+    assert _sampled_sector(6, 0.01, 1000)[4]  # x1 falls and stays below -h
+    assert an._slice_facts(6)[0]
 
 
 def test_monotonicity_argmax_location():
-    rep = an.curve_monotonicity_report(4, 1.0)
-    assert rep.x2_unimodal
-    assert rep.x2_argmax_expected == math.pi / 6
-    assert rep.x2_argmax_cell_offset <= 2
-    assert rep.derivative_max_error_x1 < 1e-6
-    assert rep.derivative_max_error_x2 < 1e-6
+    *_, unimodal, offset = _sampled_sector(4, 1.0, 1000)
+    assert unimodal and offset <= 2
+    assert max(an._slice_facts(4)[1:]) < 1e-6
 
 
 def test_contour_x2_derivative_zero_at_argmax():
@@ -533,16 +536,9 @@ def test_contour_slopes_match_reduced_ratio():
                 assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14, (n, h)
 
 
-def test_monotonicity_validation():
-    with pytest.raises(ValueError):
-        an.curve_monotonicity_report(2, 0.5)
-    with pytest.raises(ValueError):
-        an.curve_monotonicity_report(4, 0.0)
-
-
 def test_region_certificate_basic():
     rep = an.region_Dh_certificate(6, 1.0)
-    inside, phi_min, offset, _ = _sampled_sector(6, 1.0)
+    inside, phi_min, offset, *_ = _sampled_sector(6, 1.0)
     assert inside
     assert phi_min > 0.0
     assert offset <= 2
@@ -583,14 +579,15 @@ def test_sign_chains_certify_every_height(n):
     # the verdicts are per-order facts about the kernel slopes, so they hold
     # at h = 1e3 and 1e4 too, where the sampled arc sees rounding at its tip;
     # up to h = 10 the sampled fields and the sampled sector agree with them
+    passed, *gaps = an._slice_facts(n)
+    assert passed and max(gaps) < 1e-15
     for h in (0.01, 0.5, 1.0, 10.0, 100.0, 1e3, 1e4):
-        mono, region = an.curve_monotonicity_report(n, h), an.region_Dh_certificate(n, h)
-        assert mono.passed and region.passed and region.copies_outside, (n, h)
-        assert max(mono.derivative_max_error_x1, mono.derivative_max_error_x2) < 1e-15
+        region = an.region_Dh_certificate(n, h)
+        assert region.passed and region.copies_outside, (n, h)
         if h <= 10.0:
-            inside, phi_min, offset, _ = _sampled_sector(n, h)
-            assert mono.x1_strictly_decreasing and mono.x1_below_minus_h and mono.x2_unimodal
-            assert mono.x2_argmax_cell_offset <= 2 and offset <= 2
+            inside, phi_min, offset, *_ = _sampled_sector(n, h)
+            *_, falls, unimodal, turn = _sampled_sector(n, h, 1000)
+            assert falls and unimodal and turn <= 2 and offset <= 2
             assert inside and phi_min > 0.0
 
 
@@ -604,7 +601,7 @@ def test_sign_chains_catch_a_flipped_minor(monkeypatch, minor):
         return tuple(out)
 
     monkeypatch.setattr(an, "surface_partials", flipped)
-    assert not an.curve_monotonicity_report(4, 1.0).passed
+    assert not an._slice_facts(4)[0]
     assert not an.region_Dh_certificate(4, 1.0).passed
 
 
@@ -626,19 +623,18 @@ def test_slope_terms_off_by_1e_9_fail_both_certificates(monkeypatch, term):
     monkeypatch.setattr(an, "surface_partials", scaled)
     for n in range(3, 66):
         assert not an.region_Dh_certificate(n, 1.0).passed, n
-        assert not an.curve_monotonicity_report(n, 1.0).passed, n
+        assert not an._slice_facts(n)[0], n
 
 
 @pytest.mark.parametrize("n", range(3, 66))
 def test_slice_verdicts_do_not_depend_on_h(n):
-    # h enters the verdicts only through phi_at_theta0; the slope gaps are
-    # the same numbers at every height, tiny and tall alike
-    gaps = set()
+    # h enters the verdicts only through phi_at_theta0; the slope facts take
+    # no height, so they hold for tiny and tall arcs alike
+    passed, *gaps = an._slice_facts(n)
+    assert passed and max(gaps) < 1e-15, n
     for h in (1e-8, 0.01, 1.0, 1e4):
-        region, mono = an.region_Dh_certificate(n, h), an.curve_monotonicity_report(n, h)
-        assert region.passed and region.phi_at_theta0 > 0.0 and mono.passed, (n, h)
-        gaps.add((mono.derivative_max_error_x1, mono.derivative_max_error_x2))
-    assert len(gaps) == 1 and max(gaps.pop()) < 1e-15, n
+        region = an.region_Dh_certificate(n, h)
+        assert region.passed and region.phi_at_theta0 > 0.0, (n, h)
 
 
 @pytest.mark.xfail(raises=ext.BoundaryProximityError, strict=True,
@@ -719,7 +715,6 @@ def test_orders_past_the_sign_chains_are_rejected_at_entry(monkeypatch, n):
         monkeypatch.setattr(an, name, never)
     message = f"^order n={n} is past 65, the largest supported order$"
     for certify in (lambda: an.embeddedness_scan(n, [0.0, 1.0], samples=64),
-                    lambda: an.curve_monotonicity_report(n, 1.0),
                     lambda: an.region_Dh_certificate(n, 1.0)):
         with pytest.raises(ValueError, match=message):
             certify()

@@ -259,11 +259,10 @@ ORDER_ENTRIES = {
     ext.first_partials_grid: (2, 2.0, 0.5), ext.first_fundamental_grid: (2, 2.0, 0.5),
     ext.causal_type_grid: (2, 2.0, 0.5), ext.rotation_matrix: (2,),
     ext.group_elements: (2,), ext.fold_to_fundamental: (2, 0.5),
-    an.surface_partials: (2, 2.0, 0.5), an.immersion_certificate: (2, an.GridSpec(1.5, 2.0, 4)),
-    an.contour_u: (2, 1.0, 0.1), an.level_curve: (2, 1.0, 16),
-    an.properness_probe: (2, 0.1, 32), an.contour_endpoint_limits: (2, 1.0),
+    an.surface_partials: (2, 2.0, 0.5), an.contour_u: (2, 1.0, 0.1),
+    an.level_curve: (2, 1.0, 16), an.properness_probe: (2, 0.1, 32),
     an.mean_curvature_residual: (2, 2.0, 0.5), an.zmc_verification_grid: (2,),
-    an.curve_monotonicity_report: (3, 1.0), an.upsilon: (3, 1.0),
+    an.upsilon: (3, 1.0),
     an.region_Dh_certificate: (3, 1.0), an.embeddedness_scan: (3, [1.0], 64),
     mio.tessellate: (2, 3.0, 0.02, (8, 8)), ws.JorgeMeeksData: (2,),
 }
@@ -301,11 +300,9 @@ ORDER_CEILINGS = [
     (ext.first_fundamental_grid, cb.MAX_ORDER, 2.0, 0.5),
     (ext.causal_type_grid, cb.MAX_ORDER, 2.0, 0.5),
     (an.surface_partials, cb.MAX_CERTIFIED_ORDER, 2.0, 0.5),
-    (an.immersion_certificate, cb.MAX_CERTIFIED_ORDER, an.GridSpec(1.5, 2.0, 4)),
     (an.contour_u, cb.MAX_ORDER, 1.0, 0.01), (an.level_curve, cb.MAX_ORDER, 1.0, 16),
-    (an.level_curve, cb.MAX_ORDER, 0.0, 16), (an.contour_endpoint_limits, cb.MAX_ORDER, 1.0),
+    (an.level_curve, cb.MAX_ORDER, 0.0, 16),
     (an.mean_curvature_residual, cb.MAX_ORDER, 2.0, 0.5),
-    (an.curve_monotonicity_report, cb.MAX_CERTIFIED_ORDER, 1.0),
     (an.upsilon, cb.MAX_ORDER, 1.0), (an.region_Dh_certificate, cb.MAX_CERTIFIED_ORDER, 1.0),
     (an.embeddedness_scan, cb.MAX_CERTIFIED_ORDER, [0.0, 1.0], 64),
     (an.embeddedness_scan, cb.MAX_ORDER, [0.0], 64),

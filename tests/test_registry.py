@@ -148,6 +148,24 @@ def test_perturbed_kernel_fails_every_derivative_record(monkeypatch, target):
     assert passed[ids[1]] == [target.startswith("f_u")] * 7
 
 
+@pytest.mark.parametrize("minor", [1, 2])
+def test_a_minor_off_by_1e_9_fails_every_immersion_record(monkeypatch, minor):
+    # immersion, max(|J01|, |J02|) >= U_{n-2} / (sqrt(2) Psi^2) > 0, follows
+    # from the sum identity, so that record must see a relative 1e-9 in either
+    # minor: it reads 2.0e-9 against 1e-10 then, and 4.7e-16..6.9e-16 unmutated
+    exact = verify.surface_partials
+
+    def scaled(n, u, theta):
+        out = list(exact(n, u, theta))
+        out[minor] = out[minor] * (1.0 + 1e-9)
+        return tuple(out)
+
+    monkeypatch.setattr(verify, "surface_partials", scaled)
+    records = [c for c in verify.run_checks(seed=42).checks
+               if c.name == "analysis.jacobian_sum_identity"]
+    assert [(c.n, c.passed) for c in records] == [(n, False) for n in range(2, 9)]
+
+
 def test_perturbed_weierstrass_data_fails_every_derivative_record(monkeypatch):
     # the oracle side of derivative_agreement is alpha alone: an error of
     # 1e-5 in one of its components must show at every order

@@ -179,6 +179,13 @@ def test_period_residual_all_punctures():
             assert ws.period_residual(data, j) < 1e-8, (n, j)
 
 
+def end_flux(n):
+    # the flux Im of the loop integral about end j, column j: 4 pi c (0, sin, cos)(theta_j)
+    # with c = (n-1)/n^2 the log coefficient of the closed form and theta_j = 2 pi j/n
+    theta = 2.0 * math.pi * np.arange(n) / n
+    return 4.0 * math.pi * (n - 1) / n ** 2 * np.stack([0.0 * theta, np.sin(theta), np.cos(theta)])
+
+
 def test_loop_integral_imaginary_part_pinned():
     # residue calculus: around zeta^j the first component integrates to 0
     # exactly, while the second has a double pole whose residue is
@@ -190,6 +197,32 @@ def test_loop_integral_imaginary_part_pinned():
     assert abs(loop[0]) < 1e-10
     assert abs(loop[1].imag - expected) < 1e-8
     assert abs(loop[1].imag - 2.4183991523122903) < 1e-8
+    # and the third's residue is (n-1)/n^2 (conj(w) + w): Im is the flux of end j
+    assert np.max(np.abs(loop.imag - end_flux(n)[:, j])) < 1e-8
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_end_fluxes_follow_the_log_coefficient_and_balance(n):
+    # measured at most 1.1e-15 off the formula, and 8.9e-16 off balance
+    flux = ws.loop_integral(ws.JorgeMeeksData(n), np.arange(n)).imag
+    assert np.max(np.abs(flux - end_flux(n))) < 1e-14
+    assert np.max(np.abs(flux.sum(axis=1))) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_jumps_by_the_flux_across_each_log_cut(n):
+    # Im F jumps by the flux where the principal log of z - zeta_j jumps,
+    # along Im z = Im zeta_j left of zeta_j.  Another puncture's cut on that
+    # line passes both sides of zeta_j or neither, so the jump just left of
+    # zeta_j minus the jump just right of it is puncture j's alone (measured
+    # within 5.1e-13 of the loop integral)
+    data = ws.JorgeMeeksData(n)
+    eps = 0.5 * math.sin(math.pi / n)
+    z = data.punctures[:, None] + np.array([-eps, eps])
+    above, below = (np.stack(ws.lift_closed_form(data, z + d)).imag for d in (1e-13j, -1e-13j))
+    jump = above - below
+    loops = ws.loop_integral(data, np.arange(n))
+    assert np.max(np.abs(jump[..., 0] - jump[..., 1] - loops.imag)) < 5e-12
 
 
 def test_loop_integral_rejects_a_rule_that_has_not_converged(monkeypatch):
